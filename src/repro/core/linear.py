@@ -15,23 +15,23 @@
 Execution has two code paths:
 
 - The **fast path** (default, the software analog of Atom's fused kernel)
-  stacks all equal-width body groups into one ``(tokens, groups, width)``
-  tensor, quantizes every group in a single vectorized pass, folds the
-  per-token group scale into the codes and the per-group weight scale into a
-  precomputed ``(groups * width, out)`` weight block, and contracts the whole
-  body in ONE flat float64 GEMM.  (A batched per-group integer MMA with a
-  scale-outer-product epilogue — the literal reading of Fig. 8 — was measured
-  first: its ``(groups, tokens, out)`` partial tensor costs more memory
-  traffic than the GEMM saves, and NumPy's batched matmul cannot fuse the
-  epilogue the way a real kernel does.  Folding both scales into the operands
-  moves the group reduction inside one BLAS call; the reassociation changes
-  results by ~1e-15 normed relative vs the slice loop.)  The INT8 outlier
-  tail, any ragged body group and FP16 passthrough slices execute as at most
-  a couple of extra GEMMs; those integer MMAs run in float32 whenever the
-  largest possible partial sum fits the float32 exact-integer range (< 2^24)
-  — integer accumulation is exact there, so float64 buys nothing — and fall
-  back to float64 otherwise (and always for minifloat grids, whose products
-  are not integers).
+  groups the slices into one bucket per activation-quantizer signature
+  ``(width, act_bits, fmt)``, plus one unquantized bucket for FP16
+  passthrough slices.  Each bucket quantizes all of its groups in a single
+  vectorized pass over a ``(tokens, groups, width)`` view and folds the
+  per-token group scale into the codes; every slice's weight scale is folded
+  into one precomputed ``(in_features, out)`` float64 block, so the folded
+  activations of all buckets contract in ONE GEMM per call.  Weight
+  bit-width never reaches the GEMM, so e.g. INT3 and INT4 weight tiers that
+  both run A4 share a bucket: an Atom linear (INT4 body + INT8 tail) and a
+  MixedBit linear (INT3/INT4 body + INT8 tier) each run two quantize passes
+  and one GEMM.  (A batched per-group integer MMA with a scale-outer-product
+  epilogue — the literal reading of Fig. 8 — was measured first: its
+  ``(groups, tokens, out)`` partial tensor costs more memory traffic than
+  the GEMM saves, and NumPy's batched matmul cannot fuse the epilogue the
+  way a real kernel does.  Folding both scales into the operands moves the
+  group reduction inside one BLAS call; the reassociation changes results by
+  ~1e-15 normed relative vs the slice loop.)
 - The **reference path** (``fast=False``) is the original per-slice Python
   loop, kept as the equivalence oracle and the "before" baseline of the
   ``repro bench`` microbenchmarks.
@@ -49,7 +49,6 @@ tail — the executor used by RTN / SmoothQuant / W8A8-style baselines.
 from __future__ import annotations
 
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -59,11 +58,6 @@ from repro.models.llama import LinearImpl, rowwise_matmul
 from repro.quant.dtypes import IntFormat
 
 __all__ = ["AtomLinear", "QuantLinear"]
-
-# Largest integer magnitude float32 represents exactly; integer GEMMs whose
-# worst-case partial sum stays below this run on float32 without any rounding.
-_F32_EXACT_LIMIT = float(1 << 24)
-
 
 def _dynamic_act_quant(
     x: np.ndarray, bits: int, clip: float, fmt: str, axis: int = 1
@@ -77,20 +71,23 @@ def _dynamic_act_quant(
     (MX/microscaling, §6).
     """
     amax = np.abs(x).max(axis=axis, keepdims=True)
-    amax = np.maximum(amax, 1e-12)
+    np.maximum(amax, 1e-12, out=amax)
+    if fmt not in ("int", "mx"):
+        grid = _fp_grid(bits)
+        scale = amax / grid.max_value * clip
+        return grid.round(x / scale), scale
+    f = IntFormat(bits)
     if fmt == "int":
-        f = IntFormat(bits)
         scale = 2.0 * amax / (f.n_levels - 1) * clip
-        codes = np.clip(np.round(x / scale), f.qmin, f.qmax)
-        return codes, scale
-    if fmt == "mx":
-        f = IntFormat(bits)
+    else:
         scale = np.exp2(np.ceil(np.log2(clip * amax / f.qmax)))
-        codes = np.clip(np.round(x / scale), f.qmin, f.qmax)
-        return codes, scale
-    grid = _fp_grid(bits)
-    scale = amax / grid.max_value * clip
-    return grid.round(x / scale), scale
+    # np.clip(np.round(x / scale), qmin, qmax), rounded and clipped in place:
+    # the same values with fewer temporaries and wrapper calls.
+    codes = x / scale
+    np.rint(codes, out=codes)
+    np.minimum(codes, f.qmax, out=codes)
+    np.maximum(codes, f.qmin, out=codes)
+    return codes, scale
 
 
 class AtomLinear(LinearImpl):
@@ -125,9 +122,6 @@ class AtomLinear(LinearImpl):
         # Legacy float64 transposed blocks, built lazily: only the reference
         # path (equivalence oracle / "before" benchmarks) needs them.
         self._wT_f64: list[np.ndarray] | None = None
-        self._wscaleT = [
-            None if s is None else s.T.copy() for s in weight.scales
-        ]
         self._build_fast_path()
 
     # ------------------------------------------------------------------ #
@@ -136,78 +130,45 @@ class AtomLinear(LinearImpl):
     def _act_bits(self, s: GroupSlice) -> int:
         return self.a_bits if not s.is_outlier else (s.bits or 8)
 
-    def _gemm_dtype(self, s: GroupSlice) -> type:
-        """float32 when integer accumulation is provably exact, else float64."""
-        sfmt = self.weight.slice_fmt(s)
-        if sfmt == "fp":
-            return np.float64  # minifloat products are not integers
-        a_max = 1 << (self._act_bits(s) - 1)  # |qmin| bounds the magnitude
-        w_max = 1 << (s.bits - 1)
-        if s.width * a_max * w_max < _F32_EXACT_LIMIT:
-            return np.float32
-        return np.float64
-
     def _build_fast_path(self) -> None:
+        """One bucket per activation-quantizer signature, one weight block.
+
+        Buckets are keyed on ``(width, act_bits, fmt)`` (``None`` for FP16
+        passthrough slices) in order of first appearance.  ``_buckets`` holds
+        ``(lo, hi, groups, signature)`` column ranges of the bucket-ordered
+        input; ``_cols`` is the gather into that order, ``None`` when it is
+        the identity (every bucket one ascending run, the usual layout).
+        """
         w = self.weight
-        body = [
-            i
-            for i, s in enumerate(w.slices)
-            if s.bits is not None and not s.is_outlier
-        ]
-        stack: list[int] = []
-        if body:
-            # Stack the dominant (width, bits, fmt) population of body groups
-            # into one batched GEMM; stragglers (e.g. a ragged final group)
-            # take the per-slice path.
-            sig_of = lambda i: (
-                w.slices[i].width,
-                w.slices[i].bits,
-                w.slice_fmt(w.slices[i]),
+        members: dict[tuple[int, int, str] | None, list[int]] = {}
+        for i, s in enumerate(w.slices):
+            sig = (
+                None
+                if w.scales[i] is None
+                else (s.width, self._act_bits(s), w.slice_fmt(s))
             )
-            sig = Counter(sig_of(i) for i in body).most_common(1)[0][0]
-            stack = [i for i in body if sig_of(i) == sig]
-        self._stack_idx = stack
-        self._rest_idx = [i for i in range(len(w.slices)) if i not in set(stack)]
-        self._stack_w = None
-        if stack:
-            s0 = w.slices[stack[0]]
-            self._stack_width = s0.width
-            self._stack_fmt = w.slice_fmt(s0)
-            # (G * width, out) flat weight block with the per-group weight
-            # scale folded in: row g*width+s holds codes[g][:, s] * scale[g].
-            # One dgemm then contracts every body group at once; the
-            # per-token group scale is folded into the codes at call time.
-            self._stack_w = np.concatenate(
-                [
-                    w.codes[i].T.astype(np.float64)
-                    * np.asarray(w.scales[i], dtype=np.float64)[:, 0]
-                    for i in stack
-                ]
-            )
-            cols = np.concatenate(
-                [np.arange(w.slices[i].start, w.slices[i].stop) for i in stack]
-            )
-            # Contiguous ascending runs (the usual layout: body groups first)
-            # gather with a zero-copy basic slice instead of fancy indexing.
-            contiguous = all(
-                w.slices[stack[j + 1]].start == w.slices[stack[j]].stop
-                for j in range(len(stack) - 1)
-            )
-            if contiguous:
-                self._stack_cols = None
-                self._stack_span = (w.slices[stack[0]].start, w.slices[stack[-1]].stop)
-            else:
-                self._stack_cols = cols
-                self._stack_span = None
-        # Per-slice transposed blocks for the leftover slices.
-        self._rest_wT = {}
-        for i in self._rest_idx:
-            s = w.slices[i]
-            if w.scales[i] is None:
-                # FP16 passthrough: high-precision operand, float64 GEMM.
-                self._rest_wT[i] = w.codes[i].T.astype(np.float64)
-            else:
-                self._rest_wT[i] = w.codes[i].T.astype(self._gemm_dtype(s))
+            members.setdefault(sig, []).append(i)
+        order = [i for idx in members.values() for i in idx]
+        cols = np.concatenate(
+            [np.arange(w.slices[i].start, w.slices[i].stop) for i in order]
+        )
+        self._cols = None if np.array_equal(cols, np.arange(self._in)) else cols
+        self._buckets: list[tuple[int, int, int, tuple[int, int, str] | None]] = []
+        lo = 0
+        for sig, idx in members.items():
+            hi = lo + sum(w.slices[i].width for i in idx)
+            self._buckets.append((lo, hi, len(idx), sig))
+            lo = hi
+        # (in_features, out) block in bucket order: row r of slice i holds
+        # codes[i][:, r] * scale[i] (raw weights for FP16 slices), so the
+        # per-group weight scales ride inside the single GEMM.
+        self._w = np.concatenate(
+            [
+                w.codes[i].T.astype(np.float64)
+                * (1.0 if w.scales[i] is None else w.scales[i][:, 0])
+                for i in order
+            ]
+        )
 
     @property
     def out_features(self) -> int:
@@ -232,8 +193,8 @@ class AtomLinear(LinearImpl):
     def forward_rowwise(self, x: np.ndarray) -> np.ndarray:
         """Batch-size-invariant forward: row ``i`` == ``self(x[i:i+1])[0]``.
 
-        Identical pipeline to :meth:`__call__` — quantization and dequant
-        epilogues are already per-token — but every GEMM contracts through
+        Identical pipeline to :meth:`__call__` — quantization and scale
+        folding are already per-token — but the single GEMM contracts through
         :func:`~repro.models.llama.rowwise_matmul`, so each row keeps the
         accumulation order of its own single-row call regardless of how many
         requests share the batch.  The reference path falls back to the
@@ -251,53 +212,26 @@ class AtomLinear(LinearImpl):
 
     def _forward_fast(self, x: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
         """Vectorized pipeline; float64 output (pre-cast)."""
-        mm = rowwise_matmul if rowwise else np.matmul
-        w = self.weight
         t0 = time.perf_counter()
-        # ---- Phase 1: dynamic activation quantization ------------------ #
-        stacked = None
-        if self._stack_w is not None:
-            if self._stack_cols is None:
-                lo, hi = self._stack_span
-                xg = x[:, lo:hi]
-            else:
-                xg = x[:, self._stack_cols]
-            xg = xg.reshape(x.shape[0], len(self._stack_idx), self._stack_width)
-            codes, scale = _dynamic_act_quant(
-                xg, self.a_bits, self.act_clip, self._stack_fmt, axis=2
-            )
-            stacked = (codes, scale)
-        rest = {}
-        for i in self._rest_idx:
-            s = w.slices[i]
-            if w.scales[i] is None:
-                continue  # FP16 slice: no quantization
-            xs = x[:, s.start : s.stop]
-            rest[i] = _dynamic_act_quant(
-                xs, self._act_bits(s), self.act_clip, w.slice_fmt(s)
-            )
-        t1 = time.perf_counter()
-        # ---- Phase 2: integer GEMMs + fused dequant epilogue ----------- #
-        y = np.zeros((x.shape[0], self._out), dtype=np.float64)
-        if stacked is not None:
-            codes, scale = stacked
-            # Fold the per-token group scale into the codes, then contract
-            # all body groups in ONE flat GEMM against the weight block that
-            # already carries the per-group weight scales.
-            qx = (codes * scale).reshape(x.shape[0], -1)
-            y += mm(qx, self._stack_w)
-        for i in self._rest_idx:
-            s = w.slices[i]
-            w_t = self._rest_wT[i]
-            if w.scales[i] is None:
-                # FP16 slice: both operands stay high precision.
-                y += mm(x[:, s.start : s.stop], w_t)
+        # ---- Phase 1: dynamic activation quantization, one pass per bucket #
+        n = x.shape[0]
+        xb = x if self._cols is None else x[:, self._cols]
+        # Row-major operand: a permuted input is column-major, and a strided
+        # row takes a different GEMM kernel than the same row alone, which
+        # would break the forward_rowwise contract.
+        qx = np.empty((n, self._in))
+        for lo, hi, groups, sig in self._buckets:
+            if sig is None:
+                qx[:, lo:hi] = xb[:, lo:hi]  # FP16 passthrough: no quantization
                 continue
-            codes, scale = rest[i]
-            partial = mm(codes.astype(w_t.dtype, copy=False), w_t).astype(
-                np.float64, copy=False
-            )
-            y += partial * scale * self._wscaleT[i]
+            width, bits, fmt = sig
+            xg = xb[:, lo:hi].reshape(n, groups, width)
+            codes, scale = _dynamic_act_quant(xg, bits, self.act_clip, fmt, axis=2)
+            # Fold the per-token group scale into the codes.
+            qx[:, lo:hi] = (codes * scale).reshape(n, hi - lo)
+        t1 = time.perf_counter()
+        # ---- Phase 2: ONE GEMM against the scale-folded weight block ----- #
+        y = (rowwise_matmul if rowwise else np.matmul)(qx, self._w)
         t2 = time.perf_counter()
         tel = self.telemetry
         if tel is not None and tel.enabled:
@@ -317,9 +251,9 @@ class AtomLinear(LinearImpl):
                 c.astype(np.float64).T.copy() for c in self.weight.codes
             ]
         y = np.zeros((x.shape[0], self._out), dtype=np.float64)
-        for s, w_t, ws_t in zip(self.weight.slices, self._wT_f64, self._wscaleT):
+        for s, w_t, ws in zip(self.weight.slices, self._wT_f64, self.weight.scales):
             xs = x[:, s.start : s.stop]
-            if ws_t is None:
+            if ws is None:
                 # FP16 slice: both operands stay high precision.
                 y += xs @ w_t
                 continue
@@ -327,7 +261,7 @@ class AtomLinear(LinearImpl):
             fmt = self.weight.slice_fmt(s)
             codes, scale = _dynamic_act_quant(xs, bits, self.act_clip, fmt)
             # Integer MMA + fused dequant-accumulate (Fig. 8 steps 1-3).
-            y += (codes @ w_t) * scale * ws_t
+            y += (codes @ w_t) * scale * ws.T
         return y
 
     # ------------------------------------------------------------------ #

@@ -8,7 +8,9 @@ keeps a reference implementation in-tree (``fast=False`` /
 suite pins the fast paths to those references:
 
 - AtomLinear float64 internals agree to <= 1e-10 normed relative across
-  formats, ragged widths, outlier-tail sizes and FP16 tails;
+  formats, ragged widths, outlier-tail sizes, FP16 tails, MixedBit tiers and
+  random slice layouts, and ``forward_rowwise`` row ``i`` is bit-equal to
+  the single-row call;
 - model forward/decode outputs agree between the preallocated cache +
   broadcast GQA and the concatenate + np.repeat legacy path;
 - sequential calibration produces bit-identical codes either way;
@@ -19,10 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from repro.baselines.mixedbit import DEFAULT_TIERS, tier_slices
 from repro.core import AtomConfig, AtomQuantizer
 from repro.core.gptq import rtn_weight_quantize
-from repro.core.groups import make_group_slices
+from repro.core.groups import GroupSlice, make_group_slices
 from repro.core.linear import AtomLinear
 from repro.models.config import ModelConfig
 from repro.models.llama import KVCache, LlamaModel
@@ -36,9 +41,18 @@ def rng():
     return np.random.default_rng(123)
 
 
+def _sliced_linear(rng, slices, *, a_bits=4, fmt="int", out_features=24,
+                   perm=True):
+    k = slices[-1].stop
+    w = rng.normal(size=(out_features, k))
+    p = rng.permutation(k) if perm else None
+    w_r = w if p is None else w[:, p]
+    sliced = rtn_weight_quantize(w_r, slices, clip=1.0, fmt=fmt)
+    return AtomLinear(sliced, perm=p, a_bits=a_bits, act_clip=1.0, fmt=fmt)
+
+
 def _atom_linear(rng, k, *, n_outlier=4, group_size=16, a_bits=4, fmt="int",
                  outlier_bits=8, outlier_fmt=None, out_features=24, perm=True):
-    w = rng.normal(size=(out_features, k))
     slices = make_group_slices(
         k,
         n_outlier=n_outlier,
@@ -47,10 +61,8 @@ def _atom_linear(rng, k, *, n_outlier=4, group_size=16, a_bits=4, fmt="int",
         outlier_bits=outlier_bits,
         outlier_fmt=outlier_fmt,
     )
-    p = rng.permutation(k) if perm else None
-    w_r = w if p is None else w[:, p]
-    sliced = rtn_weight_quantize(w_r, slices, clip=1.0, fmt=fmt)
-    return AtomLinear(sliced, perm=p, a_bits=a_bits, act_clip=1.0, fmt=fmt)
+    return _sliced_linear(rng, slices, a_bits=a_bits, fmt=fmt,
+                          out_features=out_features, perm=perm)
 
 
 def _assert_paths_agree(lin, x, rtol=RTOL):
@@ -69,6 +81,14 @@ def _assert_paths_agree(lin, x, rtol=RTOL):
     y_ref = lin(x)
     lin.fast = True
     np.testing.assert_allclose(y_fast, y_ref, rtol=1e-5, atol=1e-6)
+    # Batch-size invariance: row i of the batched call is bit-equal to the
+    # single-row call, in the float64 internals (where a flat multi-row GEMM
+    # would already differ) and in the public float32 output.
+    rows64 = lin._forward_fast(xr, rowwise=True)
+    rows = lin.forward_rowwise(x)
+    for i in range(len(x)):
+        np.testing.assert_array_equal(rows64[i], lin._forward_fast(xr[i : i + 1])[0])
+        np.testing.assert_array_equal(rows[i], lin(x[i : i + 1])[0])
 
 
 class TestAtomLinearEquivalence:
@@ -115,14 +135,64 @@ class TestAtomLinearEquivalence:
         _assert_paths_agree(lin, 1e4 * rng.normal(size=(5, 64)))
 
     def test_flat_weight_block_layout(self, rng):
-        """The precomputed block is (stacked_body_channels, out) float64 with
-        weight scales folded in."""
-        lin = _atom_linear(rng, 64, n_outlier=4)
-        n_body = sum(
-            lin.weight.slices[i].width for i in lin._stack_idx
+        """One (in_features, out) float64 block holding every slice's
+        scale-folded weight, and one bucket per activation signature."""
+        atom = _atom_linear(rng, 68, n_outlier=4)  # 4 x 16 body groups
+        mixed = _sliced_linear(rng, tier_slices(64, DEFAULT_TIERS, 8))
+        fp16_tail = tier_slices(64, DEFAULT_TIERS, 8) + [GroupSlice(64, 68, None)]
+        mixed_fp16 = _sliced_linear(rng, fp16_tail)
+        # A4 body + A8 tail; INT3 and INT4 tiers share the A4 bucket; the
+        # FP16 passthrough slices add one unquantized bucket.
+        for lin, n_buckets in ((atom, 2), (mixed, 2), (mixed_fp16, 3)):
+            assert lin._w.shape == (lin.in_features, lin.out_features)
+            assert lin._w.dtype == np.float64
+            assert len(lin._buckets) == n_buckets
+            assert lin._cols is None  # every bucket is one ascending run
+            np.testing.assert_array_equal(lin._w, lin.weight.dequantize().T)
+        assert mixed_fp16._buckets[-1][3] is None
+
+    def test_mixedbit_tiers_ragged_noncontiguous(self, rng):
+        """Ragged groups in every tier; the width-8 A4 bucket spans both the
+        INT3 and INT4 tiers around a ragged INT3 group, so its columns are
+        not contiguous and the fast path gathers them."""
+        lin = _sliced_linear(rng, tier_slices(100, DEFAULT_TIERS, 8))
+        assert {s.width for s in lin.weight.slices} == {8, 6, 2, 4}
+        assert len(lin._buckets) == 5
+        assert lin._cols is not None
+        np.testing.assert_array_equal(
+            lin._w, lin.weight.dequantize().T[lin._cols]
         )
-        assert lin._stack_w.shape == (n_body, lin.out_features)
-        assert lin._stack_w.dtype == np.float64
+        _assert_paths_agree(lin, rng.normal(size=(6, 100)))
+
+    @seed(20240613)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(
+            st.tuples(
+                st.integers(1, 12),  # width
+                st.one_of(st.none(), st.integers(2, 8)),  # bits; None = FP16
+                st.booleans(),  # is_outlier
+                st.sampled_from([None, "int", "mx", "fp"]),  # fmt override
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        base_fmt=st.sampled_from(["int", "mx", "fp"]),
+        a_bits=st.integers(2, 8),
+        tokens=st.integers(1, 5),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_random_slice_layouts(self, layout, base_fmt, a_bits, tokens,
+                                  data_seed):
+        slices, start = [], 0
+        for width, bits, is_outlier, fmt in layout:
+            slices.append(GroupSlice(start, start + width, bits,
+                                     is_outlier=is_outlier, fmt=fmt))
+            start += width
+        rng = np.random.default_rng(data_seed)
+        lin = _sliced_linear(rng, slices, a_bits=a_bits, fmt=base_fmt)
+        assert lin._w.shape == (lin.in_features, lin.out_features)
+        _assert_paths_agree(lin, rng.normal(size=(tokens, start)))
 
 
 class TestAtomLinearTelemetry:

@@ -51,14 +51,14 @@ class CrashAfterLayer:
     def __init__(self, layer: int) -> None:
         self.layer = layer
 
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer, **_):
         print(f"  [stage] {stage:>18} layer={layer}")
         if stage == "checkpoint_saved" and layer == self.layer:
             raise KeyboardInterrupt(f"simulated crash after layer {layer}")
 
 
 class Narrator:
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer, **_):
         print(f"  [stage] {stage:>18} layer={layer}")
 
 

@@ -43,10 +43,11 @@ numerically guarded):
   than silently propagated.  ``strict=True`` (or
   ``ATOM_REPRO_STRICT_GUARDS=1``) raises typed
   :class:`~repro.quant.guards.NumericalError` on non-finite data instead.
-- A telemetry sink with a ``pipeline_stage`` hook (e.g.
-  :class:`~repro.serving.telemetry.TraceRecorder`) receives typed
-  pipeline-stage events (``layer_start`` / ``layer_quantized`` /
-  ``checkpoint_saved`` / ``checkpoint_resume`` / ``pipeline_done``).
+- A telemetry sink (e.g. :class:`~repro.serving.telemetry.TraceRecorder`,
+  or any object with an ``emit(event_cls, **fields)`` method) receives
+  typed :class:`~repro.serving.telemetry.PipelineStage` events
+  (``layer_start`` / ``layer_quantized`` / ``checkpoint_saved`` /
+  ``checkpoint_resume`` / ``pipeline_done``).
 """
 
 from __future__ import annotations
@@ -69,14 +70,15 @@ from repro.core.outliers import (
 from repro.models.llama import LlamaModel, input_site
 from repro.quant.error import relative_error
 from repro.quant.guards import QuantHealthReport, check_finite, strict_mode_default
+from repro.serving.telemetry import PipelineStage
 
 __all__ = ["AtomQuantizer", "QuantizationReport"]
 
 
 def _stage(telemetry, stage: str, layer: int, *, value: float = 0.0, detail: str = "") -> None:
-    """Emit one pipeline-stage event to a duck-typed telemetry sink."""
+    """Emit one pipeline-stage event to a telemetry sink (if any)."""
     if telemetry is not None:
-        telemetry.pipeline_stage(stage, layer=layer, detail=detail, value=value)
+        telemetry.emit(PipelineStage, stage=stage, layer=layer, detail=detail, value=value)
 
 
 @dataclass
@@ -368,7 +370,7 @@ class AtomQuantizer:
         layer with bit-identical results.  Mismatched or corrupt checkpoint
         directories raise :class:`CheckpointError` unless
         ``force_restart=True`` discards them first.  ``telemetry`` (any sink
-        with a ``pipeline_stage`` hook) receives per-layer stage events.
+        with an ``emit`` method) receives per-layer stage events.
         """
         cfg = self.config
         self.health = QuantHealthReport(strict=self.strict)

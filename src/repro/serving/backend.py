@@ -56,7 +56,11 @@ from repro.serving.parallel import (
     tp_dense_layer_time,
 )
 from repro.serving.schemes import QuantScheme
-from repro.serving.telemetry import NULL_TELEMETRY, Telemetry
+from repro.serving.telemetry import (
+    NULL_TELEMETRY,
+    BatchedDecodeSample,
+    Telemetry,
+)
 
 __all__ = [
     "AnalyticBackend",
@@ -429,7 +433,8 @@ class NumericBackend(ExecutionBackend):
             wall = time.perf_counter() - t0
             for lin, prev in patched:
                 lin.telemetry = prev
-        tel.batched_decode_sample(
+        tel.emit(
+            BatchedDecodeSample,
             decode_batch=len(request_ids),
             batched=self.batched,
             t_quant_s=collector.t_quant,

@@ -66,6 +66,13 @@ from repro.serving.faults import (
 )
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
+    ClusterSample,
+    FaultInjected,
+    ReplicaStateChange,
+    RequestFailed,
+    RequestRerouted,
+    RequestRouted,
+    RequestShed,
     Telemetry,
     weighted_mean,
     weighted_percentile,
@@ -331,8 +338,11 @@ class ClusterRun:
     def _shed(self, request_id: int, pages_required: int) -> None:
         """Cluster-level shed (front-end queue caps / rate limiting)."""
         self._cluster_terminal(request_id, "shed")
-        self.telemetry.request_shed(
-            request_id, pages_required, self._max_headroom()
+        self.telemetry.emit(
+            RequestShed,
+            request_id=request_id,
+            pages_required=pages_required,
+            pages_total=self._max_headroom(),
         )
 
     # -- internals ------------------------------------------------------- #
@@ -343,11 +353,7 @@ class ClusterRun:
         for rep in self.replicas:
             if rep.permanently_down:
                 continue
-            alloc = rep.engine._allocator
-            headroom = alloc.total_pages - (
-                1 if rep.engine.admission == "dynamic" else 0
-            )
-            best = max(best, headroom)
+            best = max(best, rep.engine.max_reserve_pages())
         return best
 
     def _start_replica_run(self, rep: _Replica, *, initial: bool) -> None:
@@ -383,7 +389,9 @@ class ClusterRun:
             return
         rep.state = new
         rep.transitions += 1
-        self.telemetry.replica_state(rep.idx, old, new, reason)
+        self.telemetry.emit(
+            ReplicaStateChange, replica=rep.idx, old=old, new=new, reason=reason
+        )
 
     def _cluster_terminal(self, request_id: int, state: str) -> None:
         if request_id in self.terminal:  # pragma: no cover - bug trap
@@ -432,13 +440,15 @@ class ClusterRun:
         n = self.retries.get(rid, 0) + (1 if burn else 0)
         self.retries[rid] = n
         if burn and n > self.cluster.retry_budget:
-            self.telemetry.request_failed(rid, n)
+            self.telemetry.emit(RequestFailed, request_id=rid, retries=n)
             self._cluster_terminal(rid, "failed")
             self.failed_n += 1
             return
         self.pending.appendleft(req)
         self.rerouted_n += 1
-        self.telemetry.request_rerouted(rid, rep.idx, n)
+        self.telemetry.emit(
+            RequestRerouted, request_id=rid, from_replica=rep.idx, retries=n
+        )
 
     def _fence(self, rep: _Replica, reason: str) -> None:
         """Declare a replica down: release every KV page it holds, requeue
@@ -450,16 +460,8 @@ class ClusterRun:
         lost_running: list = []
         lost_queued: list = []
         if run is not None:
-            engine = rep.engine
-            alloc = engine._allocator
-            cache = engine.prefix_cache
             for act in run.running:
-                rid = act.request.request_id
-                if cache is not None:
-                    cache.release(rid)
-                freed = alloc.free(rid)
-                engine.backend.on_release(rid, "preempted")
-                engine.telemetry.request_preempted(rid, freed)
+                run.release(act.request.request_id, "preempted")
                 lost_running.append(act.request)
                 self.fence_preempts += 1
             lost_queued = list(run.pending)
@@ -514,14 +516,18 @@ class ClusterRun:
             factor = sched.slow_factor(rep.idx, rnd)
             if sched.slow_starts(rep.idx, rnd):
                 self.replica_fault_counts["replica_slow"] += 1
-                tel.fault_injected("replica_slow", factor)
+                tel.emit(FaultInjected, kind="replica_slow", value=factor)
             rep.slow_factor = factor
             if sched.crashes(rep.idx, rnd):
                 self.replica_fault_counts["replica_crash"] += 1
-                tel.fault_injected("replica_crash", float(rep.idx))
+                tel.emit(
+                    FaultInjected, kind="replica_crash", value=float(rep.idx)
+                )
             if sched.flap_starts(rep.idx, rnd):
                 self.replica_fault_counts["replica_flap"] += 1
-                tel.fault_injected("replica_flap", float(rep.idx))
+                tel.emit(
+                    FaultInjected, kind="replica_flap", value=float(rep.idx)
+                )
             if sched.drains(rep.idx, rnd) and not rep.permanently_down:
                 if not rep.draining and rep.state != "down":
                     self.replica_fault_counts["replica_drain"] += 1
@@ -575,16 +581,9 @@ class ClusterRun:
                 or self.schedule.ever_available_after(rep.idx, self.round)
             ):
                 continue
-            alloc = rep.engine._allocator
-            need = alloc.pages_for(
-                req.total_len
-                if rep.engine.admission == "reserve"
-                else req.prefill_len + 1
-            )
-            headroom = alloc.total_pages - (
-                1 if rep.engine.admission == "dynamic" else 0
-            )
-            if need <= headroom:
+            engine = rep.engine
+            need = engine._allocator.pages_for(engine.reserve_tokens(req))
+            if need <= engine.max_reserve_pages():
                 return True
         return False
 
@@ -617,7 +616,9 @@ class ClusterRun:
             run.pending.append(req)
             self.assignment[req.request_id] = rep.idx
             rep.routed += 1
-            self.telemetry.request_routed(req.request_id, rep.idx)
+            self.telemetry.emit(
+                RequestRouted, request_id=req.request_id, replica=rep.idx
+            )
 
     def _outage_guard(self) -> None:
         """Nothing is steppable.  If no replica can ever serve again, shed
@@ -678,7 +679,8 @@ class ClusterRun:
                 self._outage_guard()
         if tel.enabled:
             tel.set_clock(self.clock)
-            tel.cluster_sample(
+            tel.emit(
+                ClusterSample,
                 pending=len(self.pending),
                 states=tuple(rep.state for rep in self.replicas),
                 running=tuple(

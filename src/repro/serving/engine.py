@@ -82,6 +82,14 @@ from repro.serving.parallel import TPConfig, validate_shardable
 from repro.serving.schemes import QuantScheme
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
+    FaultInjected,
+    IterationSample,
+    RequestAdmitted,
+    RequestCancelled,
+    RequestFinished,
+    RequestPreempted,
+    RequestShed,
+    RequestTimedOut,
     SLOSummary,
     Telemetry,
     weighted_mean,
@@ -106,6 +114,15 @@ _WORKSPACE_BYTES = 1.0e9
 #: ``failed`` is cluster-only (re-route retry budget exhausted after replica
 #: failures); a single-engine run never produces it.
 TERMINAL_STATES = ("finished", "timed_out", "cancelled", "shed", "failed")
+
+#: The event each release reason reports.  A shed reports
+#: :class:`RequestShed` itself, with the pages it needed, not those it freed.
+_RELEASE_EVENTS = {
+    "preempted": RequestPreempted,
+    "cancelled": RequestCancelled,
+    "timed_out": RequestTimedOut,
+    "finished": RequestFinished,
+}
 
 
 class ShedError(RuntimeError):
@@ -317,6 +334,21 @@ class ServingEngine:
             return self.deadline_s.get(request_id, float("inf"))
         return float(self.deadline_s)
 
+    def reserve_tokens(self, request: Request) -> int:
+        """KV tokens an admission reserves: the request's full lifetime
+        under ``reserve`` admission, its prompt plus one decode token under
+        ``dynamic``."""
+        if self.admission == "reserve":
+            return request.total_len
+        return request.prefill_len + 1
+
+    def max_reserve_pages(self) -> int:
+        """Largest admissible reservation in pages.  Under dynamic
+        admission one page of decode slack must remain after it."""
+        return self._allocator.total_pages - (
+            1 if self.admission == "dynamic" else 0
+        )
+
     def start_run(
         self,
         requests: list[Request],
@@ -447,9 +479,39 @@ class EngineRun:
     def _shed(self, request_id: int, pages_required: int) -> None:
         self._terminal(request_id, "shed")
         self.shed_n += 1
-        self.engine.telemetry.request_shed(
-            request_id, pages_required, self.engine._allocator.total_pages
+        self.engine.telemetry.emit(
+            RequestShed,
+            request_id=request_id,
+            pages_required=pages_required,
+            pages_total=self.engine._allocator.total_pages,
         )
+
+    def release(self, request_id: int, reason: str) -> int:
+        """Return a live request's KV pages; the only release path.
+
+        Unpins its prefix-cache lease, frees its allocator pages, tells the
+        backend why (``preempted`` / ``cancelled`` / ``timed_out`` /
+        ``shed`` / ``finished``), then emits the reason's event.  Taking the
+        request out of the batch, and its terminal or requeue bookkeeping,
+        stay with the caller.  Returns the pages freed.
+        """
+        engine = self.engine
+        if engine.prefix_cache is not None:
+            engine.prefix_cache.release(request_id)
+        freed = engine._allocator.free(request_id)
+        engine.backend.on_release(request_id, reason)
+        event = _RELEASE_EVENTS.get(reason)
+        if event is not None:
+            engine.telemetry.emit(
+                event, request_id=request_id, pages_freed=freed
+            )
+        return freed
+
+    def _preempt(self, victim: "_Active") -> None:
+        """Release ``victim`` for recompute: it rejoins the queue head."""
+        self.release(victim.request.request_id, "preempted")
+        self.pending.appendleft(victim.request)
+        self.preemptions += 1
 
     def _pick_victim(self, candidates) -> "_Active | None":
         """Choose a preemption victim from newest-first ``candidates``.
@@ -496,7 +558,9 @@ class EngineRun:
                 blocked = False
                 break
         engine.telemetry.set_clock(self.clock)
-        engine.telemetry.fault_injected("alloc_fail", float(retries))
+        engine.telemetry.emit(
+            FaultInjected, kind="alloc_fail", value=float(retries)
+        )
         return blocked
 
     # ------------------------------------------------------------------ #
@@ -518,7 +582,9 @@ class EngineRun:
                 applied = alloc.resize(delta)
                 if applied:
                     self.faults_injected += 1
-                    tel.fault_injected("page_shrink", float(applied))
+                    tel.emit(
+                        FaultInjected, kind="page_shrink", value=float(applied)
+                    )
                 # A shrink below live usage evicts the newest requests
                 # until accounting is consistent (recompute-on-resume) —
                 # after reclaiming unpinned prefix-cache pages first:
@@ -529,14 +595,7 @@ class EngineRun:
                 while alloc.free_pages < 0 and running:
                     victim = self._pick_victim(reversed(running))
                     running.remove(victim)
-                    vrid = victim.request.request_id
-                    if cache is not None:
-                        cache.release(vrid)
-                    freed = alloc.free(vrid)
-                    engine.backend.on_release(vrid, "preempted")
-                    tel.request_preempted(vrid, freed)
-                    pending.appendleft(victim.request)
-                    self.preemptions += 1
+                    self._preempt(victim)
                     self.memory_limited = True
             for rid in injector.cancellations(self.iteration):
                 hit = next(
@@ -545,13 +604,9 @@ class EngineRun:
                 )
                 if hit is not None:
                     running.remove(hit)
-                    if cache is not None:
-                        cache.release(rid)
-                    freed = alloc.free(rid)
-                    engine.backend.on_release(rid, "cancelled")
+                    self.release(rid, "cancelled")
                     self._terminal(rid, "cancelled")
                     self.cancelled_n += 1
-                    tel.request_cancelled(rid, freed)
                     continue
                 queued = next(
                     (r for r in pending if r.request_id == rid), None
@@ -560,7 +615,7 @@ class EngineRun:
                     pending.remove(queued)
                     self._terminal(rid, "cancelled")
                     self.cancelled_n += 1
-                    tel.request_cancelled(rid, 0)
+                    tel.emit(RequestCancelled, request_id=rid, pages_freed=0)
 
         # --- Deadline sweep: queued or in-flight requests past their
         # deadline reach the timed_out terminal state.
@@ -569,19 +624,17 @@ class EngineRun:
                 rid = a.request.request_id
                 if self.clock > engine._deadline_for(rid):
                     running.remove(a)
-                    if cache is not None:
-                        cache.release(rid)
-                    freed = alloc.free(rid)
-                    engine.backend.on_release(rid, "timed_out")
+                    self.release(rid, "timed_out")
                     self._terminal(rid, "timed_out")
                     self.timed_out_n += 1
-                    tel.request_timed_out(rid, freed)
             for r in [x for x in pending]:
                 if self.clock > engine._deadline_for(r.request_id):
                     pending.remove(r)
                     self._terminal(r.request_id, "timed_out")
                     self.timed_out_n += 1
-                    tel.request_timed_out(r.request_id, 0)
+                    tel.emit(
+                        RequestTimedOut, request_id=r.request_id, pages_freed=0
+                    )
 
         if not pending and not running:
             return  # cancellations/deadlines drained everything
@@ -589,11 +642,7 @@ class EngineRun:
         # --- Admission: refill the batch FCFS.
         while pending and len(running) < engine.max_batch:
             nxt = pending[0]
-            reserve = (
-                nxt.total_len
-                if engine.admission == "reserve"
-                else nxt.prefill_len + 1
-            )
+            reserve = engine.reserve_tokens(nxt)
             # Prefix-cache lookup: a hit pins the matched pages (lease) and
             # shrinks the reservation — full pages served out of the tree
             # are charged to the cache account, not this request.  The
@@ -641,13 +690,12 @@ class EngineRun:
                     self.memory_limited = True
                     break
             if tel.enabled:
-                tel.request_admitted(
-                    nxt.request_id,
-                    nxt.prefill_len,
-                    nxt.decode_len,
-                    alloc.pages_needed(reserve, shared_tokens=shared)
-                    if lease is not None
-                    else alloc.pages_for(reserve),
+                tel.emit(
+                    RequestAdmitted,
+                    request_id=nxt.request_id,
+                    prefill_len=nxt.prefill_len,
+                    decode_len=nxt.decode_len,
+                    pages=alloc.pages_needed(reserve, shared_tokens=shared),
                 )
             pending.popleft()
             act = _Active(nxt)
@@ -667,19 +715,8 @@ class EngineRun:
             # admitted.  Decide between permanent (shed) and transient
             # (back off and retry) failure.
             nxt = pending[0]
-            reserve = (
-                nxt.total_len
-                if engine.admission == "reserve"
-                else nxt.prefill_len + 1
-            )
-            need = alloc.pages_for(reserve)
-            # Under dynamic admission one page of decode slack must
-            # remain after the reservation, so the largest admissible
-            # reservation is one page smaller.
-            headroom = alloc.total_pages - (
-                1 if engine.admission == "dynamic" else 0
-            )
-            if need > headroom:
+            need = alloc.pages_for(engine.reserve_tokens(nxt))
+            if need > engine.max_reserve_pages():
                 if engine.shed_policy == "drop":
                     pending.popleft()
                     self._shed(nxt.request_id, need)
@@ -753,23 +790,13 @@ class EngineRun:
                         # its full lifetime exceeds the KV budget.
                         need = alloc.pages_for(a.request.total_len)
                         if engine.shed_policy == "drop":
-                            if cache is not None:
-                                cache.release(rid)
-                            alloc.free(rid)
-                            engine.backend.on_release(rid, "shed")
+                            self.release(rid, "shed")
                             self._shed(rid, need)
                             preempted.add(rid)  # excluded from survivors
                             break
                         raise ShedError(rid, need, alloc.total_pages)
-                    vrid = victim.request.request_id
-                    if cache is not None:
-                        cache.release(vrid)
-                    freed = alloc.free(vrid)
-                    engine.backend.on_release(vrid, "preempted")
-                    tel.request_preempted(vrid, freed)
-                    pending.appendleft(victim.request)
-                    preempted.add(vrid)
-                    self.preemptions += 1
+                    self._preempt(victim)
+                    preempted.add(victim.request.request_id)
                     if not blocked:
                         self.memory_limited = True
                     if victim is a:
@@ -828,7 +855,7 @@ class EngineRun:
             if factor != 1.0:
                 timing.scale(factor)
                 self.faults_injected += 1
-                tel.fault_injected("straggler", factor)
+                tel.emit(FaultInjected, kind="straggler", value=factor)
         t_iter = timing.total
         self.breakdown["dense"] += timing.t_dense
         self.breakdown["attention"] += timing.t_attention
@@ -873,21 +900,19 @@ class EngineRun:
         still: list[_Active] = []
         for a in running:
             if a.done:
+                rid = a.request.request_id
                 if cache is not None:
                     # Intern the whole KV-covered sequence (the last
                     # sampled token never ran through the model, hence the
-                    # -1) while the backend still holds the page tables,
-                    # then unpin this request's lease.
+                    # -1) while the backend still holds the page tables;
+                    # release() then unpins this request's lease.
                     cache.intern_finished(
-                        a.request.request_id,
+                        rid,
                         a.request.prefill_len,
                         a.request.prefill_len + a.request.decode_len - 1,
                     )
-                    cache.release(a.request.request_id)
-                freed = alloc.free(a.request.request_id)
-                engine.backend.on_release(a.request.request_id, "finished")
-                tel.request_finished(a.request.request_id, freed)
-                self._terminal(a.request.request_id, "finished")
+                self.release(rid, "finished")
+                self._terminal(rid, "finished")
                 self.completed += 1
                 self.delivered_tokens += a.request.decode_len
             else:
@@ -895,7 +920,8 @@ class EngineRun:
         self.running = still
 
         if tel.enabled:
-            tel.iteration_sample(
+            tel.emit(
+                IterationSample,
                 prefill_tokens=prefill_tokens,
                 decode_batch=decode_batch,
                 running=batch_now,

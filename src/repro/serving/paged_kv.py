@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.serving.telemetry import NULL_TELEMETRY, Telemetry
+from repro.serving.telemetry import NULL_TELEMETRY, PagePoolDelta, Telemetry
 
 __all__ = [
     "CACHE_ACCOUNT_ID",
@@ -145,6 +145,14 @@ class PagedKVAllocator:
     def can_allocate(self, n_tokens: int) -> bool:
         return self.pages_for(n_tokens) <= self.free_pages
 
+    def _page_delta(self, request_id: int, delta: int) -> None:
+        self.telemetry.emit(
+            PagePoolDelta,
+            request_id=request_id,
+            delta=delta,
+            free_pages=self.free_pages,
+        )
+
     # ------------------------------------------------------------------ #
     def allocate(
         self, request_id: int, n_tokens: int, *, shared_tokens: int = 0
@@ -172,7 +180,7 @@ class PagedKVAllocator:
         if shared_pages:
             self._shared[request_id] = shared_pages
         if self.telemetry.enabled:
-            self.telemetry.page_delta(request_id, need, self.free_pages)
+            self._page_delta(request_id, need)
         return True
 
     def pages_needed(self, n_tokens: int, *, shared_tokens: int = 0) -> int:
@@ -191,7 +199,7 @@ class PagedKVAllocator:
         self._pages[request_id] += extra
         self._tokens[request_id] = tokens
         if extra and self.telemetry.enabled:
-            self.telemetry.page_delta(request_id, extra, self.free_pages)
+            self._page_delta(request_id, extra)
         return True
 
     def free(self, request_id: int) -> int:
@@ -209,7 +217,7 @@ class PagedKVAllocator:
         self._tokens.pop(request_id)
         self._shared.pop(request_id, None)
         if self.telemetry.enabled:
-            self.telemetry.page_delta(request_id, -freed, self.free_pages)
+            self._page_delta(request_id, -freed)
         return freed
 
     # -- prefix-cache account ------------------------------------------- #
@@ -232,10 +240,8 @@ class PagedKVAllocator:
         self._shared[request_id] = self._shared.get(request_id, 0) + n_pages
         self.cache_pages += n_pages
         if self.telemetry.enabled:
-            self.telemetry.page_delta(request_id, -n_pages, self.free_pages)
-            self.telemetry.page_delta(
-                CACHE_ACCOUNT_ID, n_pages, self.free_pages
-            )
+            self._page_delta(request_id, -n_pages)
+            self._page_delta(CACHE_ACCOUNT_ID, n_pages)
 
     def cache_acquire(self, n_pages: int) -> None:
         """Charge ``n_pages`` fresh pages to the prefix-cache account."""
@@ -243,9 +249,7 @@ class PagedKVAllocator:
             return
         self.cache_pages += n_pages
         if self.telemetry.enabled:
-            self.telemetry.page_delta(
-                CACHE_ACCOUNT_ID, n_pages, self.free_pages
-            )
+            self._page_delta(CACHE_ACCOUNT_ID, n_pages)
 
     def cache_release(self, n_pages: int) -> None:
         """Return ``n_pages`` from the prefix-cache account (eviction)."""
@@ -255,9 +259,7 @@ class PagedKVAllocator:
             raise KVAccountingError("cache_release", CACHE_ACCOUNT_ID)
         self.cache_pages -= n_pages
         if self.telemetry.enabled:
-            self.telemetry.page_delta(
-                CACHE_ACCOUNT_ID, -n_pages, self.free_pages
-            )
+            self._page_delta(CACHE_ACCOUNT_ID, -n_pages)
 
     def resize(self, delta_pages: int) -> int:
         """Grow (``delta`` > 0) or shrink (``delta`` < 0) the page pool.

@@ -55,7 +55,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serving.paged_kv import KVAccountingError, PagedKVAllocator
-from repro.serving.telemetry import NULL_TELEMETRY, Telemetry
+from repro.serving.telemetry import (
+    NULL_TELEMETRY,
+    PrefixCacheSample,
+    PrefixEviction,
+    Telemetry,
+)
 
 __all__ = [
     "CountingPageSource",
@@ -370,17 +375,23 @@ class PrefixCache:
             self.stats.kv_tokens += kv
             pages_borrowed = n_pages
         if self.telemetry.enabled:
-            self.telemetry.prefix_cache_sample(
-                request_id, prefill_len, matched, kv, pages_borrowed
+            self.telemetry.emit(
+                PrefixCacheSample,
+                request_id=request_id,
+                prefill_len=prefill_len,
+                matched_tokens=matched,
+                kv_tokens=kv,
+                pages_borrowed=pages_borrowed,
             )
         return lease
 
     def release(self, request_id: int) -> None:
         """Unpin a request's lease and end its donorships (idempotent).
 
-        The engine calls this at every terminal/preemption site alongside
-        the allocator free; most requests it releases never held a lease or
-        donated pages.  Ending donorship makes the request's interned nodes
+        ``EngineRun.release`` calls this before the allocator free for
+        every request leaving the batch, and admission calls it to drop the
+        lease of a request it could not admit; most requests it releases
+        never held a lease or donated pages.  Ending donorship makes the request's interned nodes
         eligible for eviction: its page table no longer holds the pages, so
         evicting them now genuinely frees memory.
         """
@@ -561,7 +572,7 @@ class PrefixCache:
             victim = min(candidates, key=lambda n: n.last_used)
             freed += self._evict_node(victim)
         if freed and self.telemetry.enabled:
-            self.telemetry.prefix_eviction(freed)
+            self.telemetry.emit(PrefixEviction, pages_freed=freed)
         return freed
 
     def clear(self) -> int:

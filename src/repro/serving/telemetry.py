@@ -10,13 +10,15 @@ can be observed, exported, and regression-tested.
 
 Design:
 
-- :class:`Telemetry` is the **null sink**: every hook is a no-op, and it is
+- Each event type is one frozen :class:`TraceEvent` dataclass; its
+  docstring is the schema.  ``event`` is the JSON-lines dispatch tag, and
+  every event carries ``t`` (simulated clock, seconds) and ``iteration``
+  (the engine iteration, or cluster round, during which it occurred).
+- Producers report an event with ``telemetry.emit(EventClass, **fields)``.
+  :class:`Telemetry` is the **null sink**: ``emit`` is a no-op, and it is
   the default everywhere, so runs without telemetry are bit-identical to a
-  build without this module.
-- :class:`TraceRecorder` overrides the hooks to append **typed events**
-  (request admitted / preempted / finished, page-pool deltas, one
-  :class:`IterationSample` per engine iteration with token counts and
-  per-phase kernel times).
+  build without this module.  :class:`TraceRecorder` stamps ``t`` and
+  ``iteration`` onto each emitted event and keeps it in memory.
 - :func:`summarize` re-aggregates a flat event list into
   :class:`TraceSummary` — per-phase totals that reconcile exactly with
   ``ServingResult.time_breakdown``, and weighted decode-latency percentiles
@@ -25,54 +27,21 @@ Design:
   :func:`read_jsonl`); iteration samples also export to CSV
   (:func:`write_csv`) for spreadsheet/pandas analysis.
 
-Event schema (one JSON object per line, ``event`` field dispatches):
-
-``admitted``    request enters the running batch: ``request_id``,
-                ``prefill_len``, ``decode_len``, ``pages`` reserved.
-``preempted``   dynamic-admission victim: ``request_id``, ``pages_freed``
-                (its whole cache — recompute preemption frees everything).
-``finished``    request completed: ``request_id``, ``pages_freed``.
-``pages``       page-pool delta from the allocator: ``request_id``,
-                ``delta`` (+allocated / -freed pages), ``free_pages`` after.
-``cancelled``   request cancelled by the client / fault plan:
-                ``request_id``, ``pages_freed`` (0 if it was still queued).
-``timed_out``   request exceeded its deadline: ``request_id``,
-                ``pages_freed`` (0 if it was still queued).
-``shed``        request dropped by load shedding — its KV footprint can
-                never fit the pool: ``request_id``, ``pages_required``,
-                ``pages_total``.
-``fault``       one injected fault fired: ``kind`` (``page_shrink`` /
-                ``straggler`` / ``alloc_fail``) and a ``value`` payload
-                (pool delta in pages / slowdown factor / retries consumed).
-``stage``       one offline-pipeline stage event from the quantizer:
-                ``stage`` (``layer_start`` / ``layer_quantized`` /
-                ``checkpoint_saved`` / ``checkpoint_resume`` /
-                ``pipeline_done``), the decoder ``layer`` it refers to, and
-                an optional ``detail`` / ``value`` payload.
-``iteration``   one engine iteration: ``prefill_tokens``, ``decode_batch``,
-                ``running``, ``pending``, per-phase seconds ``t_dense``
-                (includes ``t_comm`` when tensor-parallel), ``t_attention``,
-                ``t_quant``, ``t_other``, their sum ``t_iter``,
-                ``kv_utilization`` and ``free_pages`` at iteration end.
-
-All events carry ``t`` (simulated clock, seconds) and ``iteration`` (the
-engine iteration during which they occurred).
-
 The same sink doubles as the kernel-phase profiler of the NumPy execution
 engine: an :class:`~repro.core.linear.AtomLinear` with a recorder attached
-(``lin.telemetry = TraceRecorder()``) emits one :class:`IterationSample` per
-call with measured ``t_quant`` (dynamic activation quantization) and
-``t_dense`` (GEMM + dequant epilogue) wall-times — ``repro bench --trace``
-uses this, and :func:`summarize` / :func:`write_jsonl` work on such traces
-unchanged, so quantize-vs-GEMM cost is attributable without separate
-instrumentation.
+(``lin.telemetry = TraceRecorder()``) reports one :class:`IterationSample`
+per call through ``iteration_sample`` with measured ``t_quant`` (dynamic
+activation quantization) and ``t_dense`` (GEMM + dequant epilogue)
+wall-times — ``repro bench --trace`` uses this, and :func:`summarize` /
+:func:`write_jsonl` work on such traces unchanged, so quantize-vs-GEMM cost
+is attributable without separate instrumentation.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -134,6 +103,9 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class RequestAdmitted(TraceEvent):
+    """A request entered the running batch with ``pages`` KV pages reserved
+    for its ``prefill_len`` prompt and ``decode_len`` generation tokens."""
+
     request_id: int = 0
     prefill_len: int = 0
     decode_len: int = 0
@@ -144,6 +116,10 @@ class RequestAdmitted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestPreempted(TraceEvent):
+    """A request was evicted from the batch to be recomputed later (page
+    pressure, or its replica was fenced).  Recompute preemption frees its
+    whole cache: ``pages_freed``."""
+
     request_id: int = 0
     pages_freed: int = 0
 
@@ -152,6 +128,8 @@ class RequestPreempted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestFinished(TraceEvent):
+    """A request delivered all its decode tokens and freed ``pages_freed``."""
+
     request_id: int = 0
     pages_freed: int = 0
 
@@ -180,7 +158,9 @@ class RequestTimedOut(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestShed(TraceEvent):
-    """Request dropped by load shedding: it can never fit the page pool."""
+    """Request dropped by load shedding: its reservation of
+    ``pages_required`` pages can never fit the ``pages_total`` the pool (or
+    the cluster's largest replica) can offer."""
 
     request_id: int = 0
     pages_required: int = 0
@@ -191,7 +171,13 @@ class RequestShed(TraceEvent):
 
 @dataclass(frozen=True)
 class FaultInjected(TraceEvent):
-    """One injected fault fired (``kind`` names the fault type)."""
+    """One injected fault fired.
+
+    ``kind`` is ``page_shrink`` / ``straggler`` / ``alloc_fail`` on an
+    engine, ``replica_slow`` / ``replica_crash`` / ``replica_flap`` on a
+    cluster.  ``value`` is the pool delta in pages / the slowdown factor /
+    the retries consumed / the replica index.
+    """
 
     kind: str = ""
     value: float = 0.0
@@ -201,7 +187,13 @@ class FaultInjected(TraceEvent):
 
 @dataclass(frozen=True)
 class PipelineStage(TraceEvent):
-    """One offline quantization pipeline stage (layer progress, checkpoints)."""
+    """One offline quantization pipeline stage.
+
+    ``stage`` is ``layer_start`` / ``layer_quantized`` / ``checkpoint_saved``
+    / ``checkpoint_resume`` / ``pipeline_done``; ``layer`` is the decoder
+    layer it refers to; ``detail`` / ``value`` carry an optional payload
+    (the layer's linear count for start/quantized/resume).
+    """
 
     stage: str = ""
     layer: int = -1
@@ -213,7 +205,13 @@ class PipelineStage(TraceEvent):
 
 @dataclass(frozen=True)
 class PagePoolDelta(TraceEvent):
-    """Allocator-level page accounting: ``delta`` > 0 allocates, < 0 frees."""
+    """Allocator-level page accounting for one account.
+
+    ``request_id`` is the request charged (or
+    :data:`~repro.serving.paged_kv.CACHE_ACCOUNT_ID` for the prefix cache);
+    ``delta`` > 0 allocates, < 0 frees; ``free_pages`` is the pool's free
+    count afterwards.
+    """
 
     request_id: int = 0
     delta: int = 0
@@ -224,7 +222,14 @@ class PagePoolDelta(TraceEvent):
 
 @dataclass(frozen=True)
 class IterationSample(TraceEvent):
-    """Per-iteration metrics: token mix, phase times, page-pool state."""
+    """One engine iteration (or one quantized-linear call).
+
+    ``prefill_tokens`` and ``decode_batch`` are the iteration's token mix,
+    ``running`` / ``pending`` the batch and queue sizes.  The per-phase
+    seconds ``t_dense``, ``t_attention``, ``t_quant`` and ``t_other`` sum to
+    ``t_iter``.  ``kv_utilization`` and ``free_pages`` describe the page
+    pool at iteration end.
+    """
 
     prefill_tokens: int = 0
     decode_batch: int = 0
@@ -295,7 +300,8 @@ class PrefixCacheSample(TraceEvent):
 
 @dataclass(frozen=True)
 class PrefixEviction(TraceEvent):
-    """LRU eviction of unreferenced radix-tree nodes (pages returned)."""
+    """LRU eviction of unreferenced radix-tree nodes, returning
+    ``pages_freed`` pages to the pool."""
 
     pages_freed: int = 0
 
@@ -304,7 +310,8 @@ class PrefixEviction(TraceEvent):
 
 @dataclass(frozen=True)
 class ReplicaStateChange(TraceEvent):
-    """Health-checker transition for one replica (cluster-level event;
+    """Health-checker transition of ``replica`` from state ``old`` to
+    ``new``, with a human-readable ``reason`` (cluster-level event;
     ``iteration`` is the cluster round)."""
 
     replica: int = 0
@@ -317,7 +324,8 @@ class ReplicaStateChange(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestRouted(TraceEvent):
-    """Router dispatched a request to a replica (cluster round indexed)."""
+    """The router dispatched ``request_id`` to ``replica`` (cluster round
+    indexed)."""
 
     request_id: int = 0
     replica: int = 0
@@ -327,7 +335,8 @@ class RequestRouted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestRerouted(TraceEvent):
-    """A fenced replica's request went back to the cluster queue.
+    """A fenced replica's request went back to the cluster queue from
+    ``from_replica``.
 
     ``retries`` counts how many times the request has been lost *while
     in-flight* (queued-only losses re-route for free).
@@ -342,7 +351,8 @@ class RequestRerouted(TraceEvent):
 
 @dataclass(frozen=True)
 class RequestFailed(TraceEvent):
-    """Re-route retry budget exhausted: the request is terminally failed."""
+    """Re-route retry budget exhausted after ``retries`` in-flight losses:
+    the request is terminally failed."""
 
     request_id: int = 0
     retries: int = 0
@@ -354,7 +364,9 @@ class RequestFailed(TraceEvent):
 class ClusterSample(TraceEvent):
     """Per-round cluster aggregate (``iteration`` is the cluster round).
 
-    Per-replica tuples are index-aligned with the cluster's replica list;
+    ``pending`` is the cluster queue length; ``states``, ``running`` and
+    ``used_pages`` give each replica's health state, batch size and KV
+    pages in use.  Per-replica tuples are index-aligned with the cluster's replica list;
     JSONL round-trips them as lists, so ``__post_init__`` re-coerces to
     tuples to keep event equality well-defined.
     """
@@ -398,20 +410,37 @@ _EVENT_TYPES: dict[str, type[TraceEvent]] = {
 
 
 def event_from_dict(d: dict) -> TraceEvent:
-    """Rebuild a typed event from its JSONL dict form."""
+    """Rebuild a typed event from its JSONL dict form.
+
+    Raises :class:`ValueError` for anything :func:`write_jsonl` cannot have
+    written: a non-object, an unknown ``event`` tag, a field the event type
+    does not have, or a missing field that has no default.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"expected a JSON object with an 'event' field, got "
+            f"{type(d).__name__}"
+        )
     kind = d.get("event")
     cls = _EVENT_TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown trace event type: {kind!r}")
-    names = {f.name for f in fields(cls) if f.init}
-    return cls(**{k: v for k, v in d.items() if k in names})
+    init = [f for f in fields(cls) if f.init]
+    names = {f.name for f in init}
+    for key in d:
+        if key != "event" and key not in names:
+            raise ValueError(f"unknown field {key!r} for {kind!r} event")
+    for f in init:
+        if f.name not in d and f.default is MISSING:
+            raise ValueError(f"missing field {f.name!r} for {kind!r} event")
+    return cls(**{k: v for k, v in d.items() if k != "event"})
 
 
 # --------------------------------------------------------------------------- #
 # Sinks
 # --------------------------------------------------------------------------- #
 class Telemetry:
-    """Null telemetry sink: every hook is a no-op.
+    """Null telemetry sink: :meth:`emit` is a no-op.
 
     This is the engine-wide default; a run with the null sink performs no
     event construction and produces results bit-identical to a run without
@@ -426,87 +455,13 @@ class Telemetry:
     def set_clock(self, clock: float) -> None:
         pass
 
-    def request_admitted(
-        self, request_id: int, prefill_len: int, decode_len: int, pages: int
-    ) -> None:
-        pass
-
-    def request_preempted(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_finished(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_cancelled(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_timed_out(self, request_id: int, pages_freed: int) -> None:
-        pass
-
-    def request_shed(
-        self, request_id: int, pages_required: int, pages_total: int
-    ) -> None:
-        pass
-
-    def fault_injected(self, kind: str, value: float) -> None:
-        pass
-
-    def page_delta(self, request_id: int, delta: int, free_pages: int) -> None:
-        pass
-
-    def pipeline_stage(
-        self, stage: str, *, layer: int = -1, detail: str = "", value: float = 0.0
-    ) -> None:
-        pass
+    def emit(self, event_cls: "type[TraceEvent]", **payload) -> None:
+        """Report one ``event_cls(**payload)`` event (``t`` and
+        ``iteration`` come from the sink's clock context)."""
 
     def iteration_sample(self, **metrics) -> None:
-        pass
-
-    def batched_decode_sample(
-        self,
-        *,
-        decode_batch: int,
-        batched: bool,
-        t_quant_s: float,
-        t_dense_s: float,
-        t_wall_s: float,
-    ) -> None:
-        pass
-
-    def prefix_cache_sample(
-        self,
-        request_id: int,
-        prefill_len: int,
-        matched_tokens: int,
-        kv_tokens: int,
-        pages_borrowed: int,
-    ) -> None:
-        pass
-
-    def prefix_eviction(self, pages_freed: int) -> None:
-        pass
-
-    # -- cluster-level hooks (driven by ClusterEngine, not the engine) --- #
-    def replica_state(
-        self, replica: int, old: str, new: str, reason: str
-    ) -> None:
-        pass
-
-    def request_routed(self, request_id: int, replica: int) -> None:
-        pass
-
-    def request_rerouted(
-        self, request_id: int, from_replica: int, retries: int
-    ) -> None:
-        pass
-
-    def request_failed(self, request_id: int, retries: int) -> None:
-        pass
-
-    def cluster_sample(
-        self, *, pending: int, states, running, used_pages
-    ) -> None:
-        pass
+        """The kernel-phase protocol ``AtomLinear`` calls on any sink."""
+        self.emit(IterationSample, **metrics)
 
 
 #: Shared process-wide null sink (stateless, safe to share).
@@ -531,224 +486,9 @@ class TraceRecorder(Telemetry):
     def set_clock(self, clock: float) -> None:
         self._clock = clock
 
-    # -- event hooks ---------------------------------------------------- #
-    def request_admitted(
-        self, request_id: int, prefill_len: int, decode_len: int, pages: int
-    ) -> None:
+    def emit(self, event_cls: "type[TraceEvent]", **payload) -> None:
         self.events.append(
-            RequestAdmitted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                prefill_len=prefill_len,
-                decode_len=decode_len,
-                pages=pages,
-            )
-        )
-
-    def request_preempted(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestPreempted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_finished(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestFinished(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_cancelled(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestCancelled(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_timed_out(self, request_id: int, pages_freed: int) -> None:
-        self.events.append(
-            RequestTimedOut(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_freed=pages_freed,
-            )
-        )
-
-    def request_shed(
-        self, request_id: int, pages_required: int, pages_total: int
-    ) -> None:
-        self.events.append(
-            RequestShed(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                pages_required=pages_required,
-                pages_total=pages_total,
-            )
-        )
-
-    def fault_injected(self, kind: str, value: float) -> None:
-        self.events.append(
-            FaultInjected(
-                t=self._clock,
-                iteration=self._iteration,
-                kind=kind,
-                value=value,
-            )
-        )
-
-    def page_delta(self, request_id: int, delta: int, free_pages: int) -> None:
-        self.events.append(
-            PagePoolDelta(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                delta=delta,
-                free_pages=free_pages,
-            )
-        )
-
-    def pipeline_stage(
-        self, stage: str, *, layer: int = -1, detail: str = "", value: float = 0.0
-    ) -> None:
-        self.events.append(
-            PipelineStage(
-                t=self._clock,
-                iteration=self._iteration,
-                stage=stage,
-                layer=layer,
-                detail=detail,
-                value=value,
-            )
-        )
-
-    def iteration_sample(self, **metrics) -> None:
-        self.events.append(
-            IterationSample(t=self._clock, iteration=self._iteration, **metrics)
-        )
-
-    def batched_decode_sample(
-        self,
-        *,
-        decode_batch: int,
-        batched: bool,
-        t_quant_s: float,
-        t_dense_s: float,
-        t_wall_s: float,
-    ) -> None:
-        self.events.append(
-            BatchedDecodeSample(
-                t=self._clock,
-                iteration=self._iteration,
-                decode_batch=decode_batch,
-                batched=batched,
-                t_quant_s=t_quant_s,
-                t_dense_s=t_dense_s,
-                t_wall_s=t_wall_s,
-            )
-        )
-
-    def prefix_cache_sample(
-        self,
-        request_id: int,
-        prefill_len: int,
-        matched_tokens: int,
-        kv_tokens: int,
-        pages_borrowed: int,
-    ) -> None:
-        self.events.append(
-            PrefixCacheSample(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                prefill_len=prefill_len,
-                matched_tokens=matched_tokens,
-                kv_tokens=kv_tokens,
-                pages_borrowed=pages_borrowed,
-            )
-        )
-
-    def prefix_eviction(self, pages_freed: int) -> None:
-        self.events.append(
-            PrefixEviction(
-                t=self._clock,
-                iteration=self._iteration,
-                pages_freed=pages_freed,
-            )
-        )
-
-    # -- cluster-level hooks --------------------------------------------- #
-    def replica_state(
-        self, replica: int, old: str, new: str, reason: str
-    ) -> None:
-        self.events.append(
-            ReplicaStateChange(
-                t=self._clock,
-                iteration=self._iteration,
-                replica=replica,
-                old=old,
-                new=new,
-                reason=reason,
-            )
-        )
-
-    def request_routed(self, request_id: int, replica: int) -> None:
-        self.events.append(
-            RequestRouted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                replica=replica,
-            )
-        )
-
-    def request_rerouted(
-        self, request_id: int, from_replica: int, retries: int
-    ) -> None:
-        self.events.append(
-            RequestRerouted(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                from_replica=from_replica,
-                retries=retries,
-            )
-        )
-
-    def request_failed(self, request_id: int, retries: int) -> None:
-        self.events.append(
-            RequestFailed(
-                t=self._clock,
-                iteration=self._iteration,
-                request_id=request_id,
-                retries=retries,
-            )
-        )
-
-    def cluster_sample(
-        self, *, pending: int, states, running, used_pages
-    ) -> None:
-        self.events.append(
-            ClusterSample(
-                t=self._clock,
-                iteration=self._iteration,
-                pending=pending,
-                states=tuple(states),
-                running=tuple(running),
-                used_pages=tuple(used_pages),
-            )
+            event_cls(t=self._clock, iteration=self._iteration, **payload)
         )
 
     # -- convenience ----------------------------------------------------- #
@@ -1077,14 +817,21 @@ def write_jsonl(events: Iterable[TraceEvent], dest: "str | Path | IO[str]") -> N
 
 
 def read_jsonl(src: "str | Path | IO[str]") -> list[TraceEvent]:
-    """Parse a JSONL trace back into typed events (inverse of write_jsonl)."""
+    """Parse a JSONL trace back into typed events (inverse of write_jsonl).
+
+    A malformed line raises :class:`ValueError` naming its line number.
+    """
 
     def _load(fh: "IO[str]") -> list[TraceEvent]:
         out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(event_from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         return out
 
     if hasattr(src, "read"):
@@ -1093,21 +840,11 @@ def read_jsonl(src: "str | Path | IO[str]") -> list[TraceEvent]:
         return _load(fh)
 
 
-_CSV_COLUMNS = (
-    "iteration",
-    "t",
-    "prefill_tokens",
-    "decode_batch",
-    "running",
-    "pending",
-    "t_dense",
-    "t_attention",
-    "t_quant",
-    "t_other",
-    "t_comm",
-    "t_iter",
-    "kv_utilization",
-    "free_pages",
+#: One CSV column per :class:`IterationSample` field, ``iteration`` first.
+_CSV_COLUMNS = ("iteration", "t") + tuple(
+    f.name
+    for f in fields(IterationSample)
+    if f.init and f.name not in ("t", "iteration", "backend")
 )
 
 

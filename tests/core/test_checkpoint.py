@@ -23,6 +23,7 @@ from repro.core.checkpoint import (
     pipeline_fingerprint,
     validate_checkpoint_dir,
 )
+from repro.serving.telemetry import PipelineStage
 
 TINY_CONFIG = dataclasses.replace(
     BENCH_MODEL_CONFIG,
@@ -55,7 +56,8 @@ class CrashAfterSave:
     def __init__(self, layer: int) -> None:
         self.layer = layer
 
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer, **_):
+        assert event_cls is PipelineStage
         if stage == "checkpoint_saved" and layer == self.layer:
             raise RuntimeError("injected crash")
 
@@ -64,7 +66,8 @@ class StageLog:
     def __init__(self) -> None:
         self.stages: list[tuple[str, int]] = []
 
-    def pipeline_stage(self, stage, *, layer=-1, detail="", value=0.0):
+    def emit(self, event_cls, *, stage, layer, **_):
+        assert event_cls is PipelineStage
         self.stages.append((stage, layer))
 
 

@@ -513,6 +513,52 @@ def run_cluster_scenario(seed: int) -> ClusterChaosRun:
     )
 
 
+# --------------------------------------------------------------------------- #
+# Shared run cache
+# --------------------------------------------------------------------------- #
+
+#: Memoized runs keyed by ``(runner name, seed)``.  Scenarios are
+#: deterministic, so every test module shares one execution per seed.
+_RUN_CACHE: dict = {}
+
+#: Per-sink event counts captured right after each cached run, before audits
+#: such as ``assert_prefix_invariants`` append teardown events.
+_SINK_LENGTHS: dict = {}
+
+
+def run_sinks(run) -> "dict[str, TraceRecorder]":
+    """Every telemetry sink of a run by name: the engine's, or the
+    cluster's plus one per replica."""
+    if isinstance(run, ClusterChaosRun):
+        sinks = {"cluster": run.recorder}
+        for i, engine in enumerate(run.cluster.engines):
+            sinks[f"replica{i}"] = engine.telemetry
+        return sinks
+    return {"engine": run.recorder}
+
+
+def cached_run(runner, seed: int):
+    """``runner(seed)``, executed once per process."""
+    key = (runner.__name__, seed)
+    if key not in _RUN_CACHE:
+        run = runner(seed)
+        _RUN_CACHE[key] = run
+        _SINK_LENGTHS[key] = {
+            name: len(rec.events) for name, rec in run_sinks(run).items()
+        }
+    return _RUN_CACHE[key]
+
+
+def run_events(runner, seed: int) -> "dict[str, list]":
+    """Each sink's events of a cached run as the run itself left them."""
+    run = cached_run(runner, seed)
+    lengths = _SINK_LENGTHS[(runner.__name__, seed)]
+    return {
+        name: rec.events[: lengths[name]]
+        for name, rec in run_sinks(run).items()
+    }
+
+
 def cluster_fault_kinds(run: ClusterChaosRun) -> set[str]:
     """Replica-level fault kinds that actually FIRED in this run."""
     return {

@@ -34,6 +34,7 @@ from chaos import (  # tests/serving/chaos.py (pytest adds this dir to sys.path)
     assert_invariants,
     assert_open_loop_invariants,
     assert_prefix_invariants,
+    cached_run,
     cluster_fault_kinds,
     injected_fault_kinds,
     run_cluster_scenario,
@@ -45,18 +46,11 @@ from chaos import (  # tests/serving/chaos.py (pytest adds this dir to sys.path)
 #: Pinned seed list run in CI (>= 25 distinct scenarios required).
 SEEDS = list(range(30))
 
-#: Scenario cache: runs are deterministic, so the coverage sweep reuses the
-#: runs produced by the per-seed invariant tests instead of recomputing.
-_RUNS: dict[int, object] = {}
-
-#: Same, for the open-loop scenarios.
-_OL_RUNS: dict[int, object] = {}
-
 
 def scenario(seed):
-    if seed not in _RUNS:
-        _RUNS[seed] = run_scenario(seed)
-    return _RUNS[seed]
+    # Runs are deterministic, so the coverage sweeps (and the digest pins in
+    # test_chaos_digests.py) reuse the runs of the per-seed invariant tests.
+    return cached_run(run_scenario, seed)
 
 
 class TestChaosInvariants:
@@ -264,9 +258,7 @@ class TestOpenLoopChaos:
     OL_SEEDS = list(range(12))
 
     def scenario(self, seed):
-        if seed not in _OL_RUNS:
-            _OL_RUNS[seed] = run_open_loop_scenario(seed)
-        return _OL_RUNS[seed]
+        return cached_run(run_open_loop_scenario, seed)
 
     @pytest.mark.parametrize("seed", OL_SEEDS)
     def test_invariants_hold(self, seed):
@@ -310,12 +302,9 @@ class TestPrefixCacheChaos:
     """
 
     PC_SEEDS = list(range(10))
-    _PC_RUNS: dict = {}
 
     def scenario(self, seed):
-        if seed not in self._PC_RUNS:
-            self._PC_RUNS[seed] = run_prefix_scenario(seed)
-        return self._PC_RUNS[seed]
+        return cached_run(run_prefix_scenario, seed)
 
     @pytest.mark.parametrize("seed", PC_SEEDS)
     def test_invariants_hold(self, seed):
@@ -456,12 +445,9 @@ class TestClusterChaos:
     """
 
     CLUSTER_SEEDS = list(range(18))
-    _CL_RUNS: dict = {}
 
     def scenario(self, seed):
-        if seed not in self._CL_RUNS:
-            self._CL_RUNS[seed] = run_cluster_scenario(seed)
-        return self._CL_RUNS[seed]
+        return cached_run(run_cluster_scenario, seed)
 
     @pytest.mark.parametrize("seed", CLUSTER_SEEDS)
     def test_invariants_hold(self, seed):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.serving.telemetry import (
     RequestPreempted,
     Telemetry,
     TraceRecorder,
+    _EVENT_TYPES,
     event_from_dict,
     read_jsonl,
     summarize,
@@ -74,7 +76,9 @@ class TestNullSink:
     def test_null_sink_records_nothing(self):
         tel = Telemetry()
         tel.begin_iteration(0, 0.0)
-        tel.request_admitted(1, 2, 3, 4)
+        tel.emit(
+            RequestAdmitted, request_id=1, prefill_len=2, decode_len=3, pages=4
+        )
         tel.iteration_sample(decode_batch=1)
         assert not tel.enabled
         assert not hasattr(tel, "events")
@@ -256,6 +260,108 @@ class TestRoundTrip:
     def test_unknown_event_type_rejected(self):
         with pytest.raises(ValueError, match="unknown trace event"):
             event_from_dict({"event": "martian", "t": 0.0, "iteration": 0})
+
+
+def _payload(cls) -> dict:
+    """Non-default values for every payload field of an event type.
+
+    Tuple fields are given as lists so :class:`ClusterSample`'s coercion
+    back to tuples is exercised.
+    """
+    out = {}
+    for i, f in enumerate(fields(cls)):
+        if not f.init or f.name in ("t", "iteration"):
+            continue
+        d = f.default
+        if isinstance(d, bool):
+            out[f.name] = not d
+        elif isinstance(d, int):
+            out[f.name] = d + 7 + i
+        elif isinstance(d, float):
+            out[f.name] = d + 0.5 + i
+        elif isinstance(d, str):
+            out[f.name] = f"{f.name}-x"
+        else:
+            assert isinstance(d, tuple), (cls, f.name)
+            out[f.name] = [i, i + 1]
+    return out
+
+
+class TestEmit:
+    def test_every_event_type_is_covered(self):
+        assert len(_EVENT_TYPES) == 18
+
+    @pytest.mark.parametrize(
+        "cls", list(_EVENT_TYPES.values()), ids=lambda c: c.event
+    )
+    def test_emit_round_trips_every_event_type(self, cls):
+        payload = _payload(cls)
+        rec = TraceRecorder()
+        rec.begin_iteration(4, 1.5)
+        rec.set_clock(2.25)
+        rec.emit(cls, **payload)
+        (event,) = rec.events
+        assert type(event) is cls
+        assert (event.t, event.iteration) == (2.25, 4)
+        for name, value in payload.items():
+            want = tuple(value) if isinstance(value, list) else value
+            assert getattr(event, name) == want, name
+        buf = io.StringIO()
+        write_jsonl(rec.events, buf)
+        buf.seek(0)
+        assert read_jsonl(buf) == rec.events
+        # The null sink accepts the same call and records nothing.
+        assert NULL_TELEMETRY.emit(cls, **payload) is None
+        assert not hasattr(NULL_TELEMETRY, "events")
+
+    def test_iteration_sample_omits_analytic_backend(self):
+        rec = TraceRecorder()
+        rec.iteration_sample(decode_batch=3, t_iter=0.5)
+        rec.emit(IterationSample, decode_batch=2, backend="numeric")
+        analytic, numeric = rec.events
+        assert "backend" not in analytic.to_dict()
+        assert numeric.to_dict()["backend"] == "numeric"
+        buf = io.StringIO()
+        write_jsonl(rec.events, buf)
+        buf.seek(0)
+        assert read_jsonl(buf) == rec.events
+
+
+class TestMalformedJsonl:
+    GOOD = (
+        '{"event": "finished", "iteration": 1, "pages_freed": 2, '
+        '"request_id": 5, "t": 0.25}'
+    )
+
+    def _read(self, bad: str):
+        return read_jsonl(io.StringIO(f"{self.GOOD}\n\n{bad}\n"))
+
+    def test_good_line_loads(self):
+        (event,) = read_jsonl(io.StringIO(self.GOOD + "\n"))
+        assert event == RequestFinished(
+            t=0.25, iteration=1, request_id=5, pages_freed=2
+        )
+
+    def test_unknown_field_names_line_and_field(self):
+        bad = (
+            '{"event":"finished","t":0.5,"iteration":2,'
+            '"request_idd":3,"pages_freed":4}'
+        )
+        with pytest.raises(
+            ValueError, match=r"line 3: unknown field 'request_idd'"
+        ):
+            self._read(bad)
+
+    def test_missing_field_names_line_and_field(self):
+        bad = '{"event":"finished","iteration":2,"pages_freed":4}'
+        with pytest.raises(ValueError, match=r"line 3: missing field 't'"):
+            self._read(bad)
+
+    def test_non_object_line_names_line_and_field(self):
+        with pytest.raises(
+            ValueError, match=r"line 3: expected a JSON object with an 'event'"
+        ):
+            self._read("[1, 2]")
 
 
 class TestPercentileMachinery:

@@ -35,7 +35,6 @@ class TestPayloadSchema:
         assert payload["schema"] == SERVING_BENCH_SCHEMA
         assert payload["quick"] is True
         assert payload["verified_bit_identical"] is True
-        assert payload["batched"] is True
         batches = [p["batch"] for p in payload["batches"]]
         assert batches == [1, 8]  # quick sweep: smallest + headline batch
         for p in payload["batches"]:
@@ -84,14 +83,6 @@ class TestRegressionGate:
         assert problems
         assert any("batched decode too slow" in p for p in problems)
 
-    def test_speedup_gate_skipped_for_sequential_runs(self, payload):
-        seq = json.loads(json.dumps(payload))
-        seq["batched"] = False
-        by_batch = {p["batch"]: p for p in seq["batches"]}
-        by_batch[8]["tokens_per_s"] = 1.5 * by_batch[1]["tokens_per_s"]
-        problems = check_serving_regression(seq, payload)
-        assert not any("batched decode too slow" in p for p in problems)
-
     def test_trips_on_unverified_run(self, payload):
         unverified = json.loads(json.dumps(payload))
         unverified["verified_bit_identical"] = False
@@ -120,7 +111,6 @@ class TestCommittedBaseline:
         """The serving thesis: batched decode beats batch-1 throughput —
         and the committed fused-path baseline clears its own 2x gate."""
         base = read_serving_bench_json(BASELINE)
-        assert base["batched"] is True
         by_batch = {p["batch"]: p["tokens_per_s"] for p in base["batches"]}
         assert max(by_batch.values()) > by_batch[1]
         assert by_batch[8] >= 2.0 * by_batch[1]

@@ -44,29 +44,13 @@ __all__ = [
 
 PARETO_BENCH_SCHEMA = "atom-repro/bench-pareto/v1"
 
-#: Zoo analog executed numerically -> full-size spec used for the roofline
-#: axis (same mapping the ``serve`` subcommand uses).
-_ROOFLINE_SPEC_FOR = {
-    "llama-7b-sim": "llama-7b",
-    "llama-13b-sim": "llama-13b",
-    "llama2-70b-sim": "llama-70b",
-}
-
-
-def _roofline_tokens_per_s(scheme, spec_name: str, *, requests: int, seed: int):
+def _roofline_tokens_per_s(scheme, spec, *, requests: int, seed: int):
     from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import ServingEngine
-    from repro.serving.models import LLAMA_7B, LLAMA_13B, LLAMA_70B
 
-    spec = {
-        "llama-7b": LLAMA_7B,
-        "llama-13b": LLAMA_13B,
-        "llama-70b": LLAMA_70B,
-    }[spec_name]
     reqs = ShareGPTWorkload(seed=seed, max_len=2048).sample_requests(requests)
     engine = ServingEngine(spec, scheme, max_batch=32)
-    result = engine.run(reqs)
-    return spec, result.throughput_tokens_per_s
+    return engine.run(reqs).throughput_tokens_per_s
 
 
 def run_pareto_bench(
@@ -86,7 +70,8 @@ def run_pareto_bench(
     from repro.data.sharegpt import Request
     from repro.eval import perplexity
     from repro.models.zoo import load_model
-    from repro.serving import NumericBackend
+    from repro.serving import NumericBackend, oracle_mismatches
+    from repro.serving.models import SERVING_SPECS, ZOO_ANALOGS
     from repro.serving.schemes import SCHEMES, numeric_scheme_names
 
     if scheme_names is None:
@@ -101,24 +86,24 @@ def run_pareto_bench(
     batch, prefill_len, decode_len = (4, 12, 6) if quick else (4, 16, 12)
 
     model = load_model(model_name)
-    spec_name = _ROOFLINE_SPEC_FOR[model_name]
+    # The roofline axis simulates the full-size model the zoo analog stands
+    # in for (the same pairing ``repro serve`` uses).
+    spec = SERVING_SPECS[{z: n for n, z in ZOO_ANALOGS.items()}[model_name]]
     calib = sample_calibration_tokens(n_calib, calib_len, seed=seed + 42)
 
     rows = []
-    spec = None
     for name in scheme_names:
         scheme = SCHEMES[name]
         served = scheme.quantize(model, calib_tokens=calib)
         ppl = float(perplexity(served, "synthwiki", eval_chars=eval_chars))
 
-        spec, roofline_tps = _roofline_tokens_per_s(
-            scheme, spec_name, requests=roofline_requests, seed=seed
+        roofline_tps = _roofline_tokens_per_s(
+            scheme, spec, requests=roofline_requests, seed=seed
         )
 
         engine = NumericBackend.engine_for(
             served, scheme, max_batch=batch, admission="reserve", seed=seed
         )
-        backend = engine.backend
         reqs = [Request(i, prefill_len, decode_len) for i in range(batch)]
         t0 = time.perf_counter()
         result = engine.run(reqs)
@@ -128,16 +113,12 @@ def run_pareto_bench(
                 f"pareto bench {name}: only "
                 f"{result.completed_requests}/{batch} requests finished"
             )
-        for r in reqs:
-            got = backend.generated_tokens(r.request_id)
-            want = backend.runner.oracle_generate(
-                r.request_id, r.prefill_len, r.decode_len
+        bad = oracle_mismatches(engine, result, reqs)
+        if bad:
+            raise RuntimeError(
+                f"pareto bench {name}: requests {bad} tokens diverge from "
+                "the generate oracle"
             )
-            if not np.array_equal(got, want):
-                raise RuntimeError(
-                    f"pareto bench {name}: request {r.request_id} tokens "
-                    "diverge from the generate oracle"
-                )
         delivered = batch * decode_len
         rows.append(
             {

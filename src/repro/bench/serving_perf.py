@@ -87,22 +87,18 @@ def _requests(batch: int, prefill_len: int, decode_len: int):
     return [Request(i, prefill_len, decode_len) for i in range(batch)]
 
 
-def run_serving_bench(
-    *, quick: bool = False, seed: int = 0, batched: bool = True
-) -> dict:
+def run_serving_bench(*, quick: bool = False, seed: int = 0) -> dict:
     """Measure numeric-backend decode throughput across batch sizes.
 
     Returns the ``BENCH_serving_numeric.json`` payload.  Each batch point
     runs a fresh engine + backend over ``batch`` identical-length requests
     under reserve admission, and reports delivered decode tokens per
-    wall-clock second.  With ``batched=True`` (the default) decode runs the
-    fused cross-request path (one ``forward_batch`` per engine step);
-    ``batched=False`` measures the sequential per-request loop for
-    comparison.  The smallest AND largest batch points are verified
-    bit-identical against the per-request ``generate`` oracle — the large
-    point exercises the fused path at real batch widths.
+    wall-clock second; decode runs the fused cross-request path (one
+    ``forward_batch`` per engine step).  The smallest AND largest batch
+    points are verified bit-identical against the per-request ``generate``
+    oracle — the large point exercises the fused path at real batch widths.
     """
-    from repro.serving import SCHEMES, NumericBackend
+    from repro.serving import SCHEMES, NumericBackend, oracle_mismatches
 
     batch_sizes = (1, 8) if quick else (1, 4, 8, 16)
     prefill_len, decode_len = (16, 8) if quick else (24, 32)
@@ -119,9 +115,7 @@ def run_serving_bench(
             max_batch=batch,
             admission="reserve",
             seed=seed,
-            batched=batched,
         )
-        backend = engine.backend
         reqs = _requests(batch, prefill_len, decode_len)
         t0 = time.perf_counter()
         result = engine.run(reqs)
@@ -132,17 +126,13 @@ def run_serving_bench(
                 f"{result.completed_requests}/{batch} requests finished"
             )
         if batch in verify_at:
-            for r in reqs:
-                got = backend.generated_tokens(r.request_id)
-                want = backend.runner.oracle_generate(
-                    r.request_id, r.prefill_len, r.decode_len
+            bad = oracle_mismatches(engine, result, reqs)
+            if bad:
+                raise RuntimeError(
+                    f"serving bench: batch={batch} requests {bad} tokens "
+                    "diverge from the generate oracle — numeric backend is "
+                    "broken"
                 )
-                if not np.array_equal(got, want):
-                    raise RuntimeError(
-                        f"serving bench: batch={batch} request "
-                        f"{r.request_id} tokens diverge from the generate "
-                        "oracle — numeric backend is broken"
-                    )
             verified = True
         delivered = batch * decode_len
         points.append(
@@ -162,7 +152,6 @@ def run_serving_bench(
         "schema": SERVING_BENCH_SCHEMA,
         "quick": quick,
         "scheme": scheme.name,
-        "batched": batched,
         "verified_bit_identical": verified,
         "host": {
             "python": platform.python_version(),
@@ -219,7 +208,12 @@ def run_prefix_cache_bench(*, quick: bool = False, seed: int = 0) -> dict:
 
     Returns the ``BENCH_prefix_cache.json`` payload.
     """
-    from repro.serving import SCHEMES, NumericBackend, PrefixCache
+    from repro.serving import (
+        SCHEMES,
+        NumericBackend,
+        PrefixCache,
+        oracle_mismatches,
+    )
 
     # Prompts are long enough that the skipped prefill FLOPs dominate the
     # cache's Python-side bookkeeping — warm must beat cold on wall-clock
@@ -252,16 +246,12 @@ def run_prefix_cache_bench(*, quick: bool = False, seed: int = 0) -> dict:
                 f"prefix cache bench ({mode}): only "
                 f"{result.completed_requests}/{len(reqs)} requests finished"
             )
-        for r in reqs:
-            got = backend.generated_tokens(r.request_id)
-            want = backend.runner.oracle_generate(
-                r.request_id, r.prefill_len, r.decode_len
+        bad = oracle_mismatches(engine, result, reqs)
+        if bad:
+            raise RuntimeError(
+                f"prefix cache bench ({mode}): requests {bad} tokens "
+                "diverge from the generate oracle"
             )
-            if not np.array_equal(got, want):
-                raise RuntimeError(
-                    f"prefix cache bench ({mode}): request {r.request_id} "
-                    "tokens diverge from the generate oracle"
-                )
         tokens[mode] = {
             r.request_id: np.asarray(
                 backend.generated_tokens(r.request_id)
@@ -338,8 +328,7 @@ def check_serving_regression(
       ``max_slowdown`` x against the baseline's largest-batch point;
     - fused batched decode must deliver at least ``min_batch_speedup`` x the
       *baseline's batch-1* throughput at batch 8 — the headline win of
-      cross-request batching.  Skipped when the current run measured the
-      sequential path (``batched=False``) or either payload lacks the
+      cross-request batching.  Skipped when either payload lacks the
       needed batch points.
 
     Returns human-readable failures (empty = pass).
@@ -366,11 +355,7 @@ def check_serving_regression(
             f"batch {cur_pt['batch']}: {cur:.1f} tokens/s vs baseline "
             f"{base:.1f} tokens/s"
         )
-    if (
-        current.get("batched", True)
-        and 8 in cur_by_batch
-        and 1 in base_by_batch
-    ):
+    if 8 in cur_by_batch and 1 in base_by_batch:
         cur8, base1 = cur_by_batch[8], base_by_batch[1]
         if cur8 < min_batch_speedup * base1:
             problems.append(

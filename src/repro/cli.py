@@ -112,34 +112,39 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro serve --backend numeric`` maps the full-size serving spec names
-#: onto the trained zoo analogs the NumPy model can actually execute.
-_NUMERIC_ZOO = {
-    "llama-7b": "llama-7b-sim",
-    "llama-13b": "llama-13b-sim",
-    "llama-70b": "llama2-70b-sim",
-}
+def _resolve_schemes(
+    scheme_arg: str, numeric: bool
+) -> "tuple[list[str], str | None]":
+    """Scheme names for a serve run, or an error message.
 
-
-def _resolve_numeric_schemes(scheme_arg: str) -> "tuple[list[str], str | None]":
-    """Scheme names for a numeric-backend run, or an error message.
-
-    ``"all"`` expands to every registered scheme with a quantization
-    recipe; naming a roofline-only scheme explicitly is the error case.
+    ``"all"`` expands to every registered scheme (numeric backend: every
+    scheme with a quantization recipe); naming a roofline-only scheme for
+    the numeric backend is the error case.
     """
     from repro.serving.schemes import SCHEMES, numeric_scheme_names
 
-    names = (
-        [scheme_arg] if scheme_arg != "all" else numeric_scheme_names()
-    )
+    if scheme_arg == "all":
+        names = numeric_scheme_names() if numeric else list(SCHEMES)
+    else:
+        names = [scheme_arg]
     unsupported = [s for s in names if not SCHEMES[s].numeric_executable]
-    if unsupported:
+    if numeric and unsupported:
         return names, (
             f"numeric backend supports {', '.join(numeric_scheme_names())}; "
             f"{', '.join(unsupported)} has no quantization recipe "
             "(roofline-only)"
         )
     return names, None
+
+
+def _tp_config(args: argparse.Namespace):
+    """``--tp``/``--interconnect`` as a ``TPConfig`` (None for one GPU)."""
+    if args.tp <= 1:
+        return None
+    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+
+    bandwidth = NVLINK if args.interconnect == "nvlink" else PCIE_4
+    return TPConfig(args.tp, bandwidth)
 
 
 def _prefix_cache_for(args: argparse.Namespace):
@@ -151,7 +156,7 @@ def _prefix_cache_for(args: argparse.Namespace):
     conversation (``request_id // 64``) then share token prefixes, which
     is what makes caching them worthwhile.
     """
-    if not getattr(args, "prefix_cache", False):
+    if not args.prefix_cache:
         return None
     from repro.serving import PrefixCache
 
@@ -160,13 +165,58 @@ def _prefix_cache_for(args: argparse.Namespace):
 
 def _wrap_cluster(args: argparse.Namespace, build):
     """``build()`` once, or ``--replicas`` times behind a cluster router."""
-    if getattr(args, "replicas", 1) <= 1:
+    if args.replicas <= 1:
         return build()
     from repro.serving import ClusterEngine
 
     return ClusterEngine(
         [build() for _ in range(args.replicas)], router=args.router
     )
+
+
+def _serve_engine(args: argparse.Namespace, scheme, spec, served):
+    """One ``repro serve`` engine (or replica cluster) for ``scheme``.
+
+    ``served`` is the quantized zoo model on the numeric backend and None
+    on the analytic one, which simulates the full-size ``spec`` instead.
+    Requests are shed, not raised, whenever the run must degrade
+    gracefully: open-loop traffic, replicas, or enforced deadlines.
+    """
+    from repro.serving import NumericBackend, ServingEngine
+
+    kwargs = dict(
+        max_batch=args.batch,
+        admission=args.admission,
+        shed_policy=(
+            "drop"
+            if args.open_loop or args.replicas > 1 or args.deadline is not None
+            else "raise"
+        ),
+        # Open-loop deadlines are per request, registered by the front-end.
+        deadline_s=None if args.open_loop else args.deadline,
+        cache_aware_preempt=args.cache_aware_preempt,
+    )
+
+    def build():
+        if served is None:
+            return ServingEngine(
+                spec,
+                scheme,
+                enforce_memory=not args.no_memory_limit,
+                tp=_tp_config(args),
+                prefix_cache=_prefix_cache_for(args),
+                **kwargs,
+            )
+        return NumericBackend.engine_for(
+            served,
+            scheme,
+            seed=args.seed,
+            prompts="conversation" if args.prefix_cache else "synthetic",
+            prefix_cache=_prefix_cache_for(args),
+            **kwargs,
+        )
+
+    return _wrap_cluster(args, build)
 
 
 def _print_cluster_stats(cluster: "dict | None") -> None:
@@ -194,104 +244,10 @@ def _print_prefix_stats(label: str, stats: "dict | None") -> None:
     )
 
 
-def _cmd_serve_numeric(args: argparse.Namespace) -> int:
-    """Serve a real zoo model through the numeric execution backend."""
-    import numpy as np
-
-    from repro.data.sharegpt import ShareGPTWorkload
-    from repro.models.zoo import load_model
-    from repro.serving import SCHEMES, NumericBackend
-
-    if args.tp > 1:
-        print("numeric backend does not support tensor parallelism",
-              file=sys.stderr)
-        return 2
-    zoo_name = _NUMERIC_ZOO[args.model]
-    scheme_names, err = _resolve_numeric_schemes(args.scheme)
-    if err:
-        print(err, file=sys.stderr)
-        return 2
-    model = load_model(zoo_name)
-    # Requests must fit the small model's context window.
-    max_len = model.config.max_seq_len
-    reqs = ShareGPTWorkload(seed=args.seed, max_len=max_len).sample_requests(
-        args.requests
-    )
-    rows = []
-    prefix_lines = []
-    cluster_lines = []
-    clustered = getattr(args, "replicas", 1) > 1
-    for name in scheme_names:
-        served = SCHEMES[name].quantize(model)
-
-        def build(name=name, served=served):
-            return NumericBackend.engine_for(
-                served, SCHEMES[name], max_batch=args.batch,
-                admission=args.admission, seed=args.seed,
-                shed_policy="drop" if clustered else "raise",
-                prompts="conversation" if args.prefix_cache else "synthetic",
-                prefix_cache=_prefix_cache_for(args),
-                cache_aware_preempt=args.cache_aware_preempt,
-            )
-
-        engine = _wrap_cluster(args, build)
-        r = engine.run(reqs)
-        if clustered:
-            tokens_of = engine.generated_tokens
-            oracle = engine.engines[0].backend.runner.oracle_generate
-            cluster_lines.append(r.cluster)
-        else:
-            tokens_of = engine.backend.generated_tokens
-            oracle = engine.backend.runner.oracle_generate
-        if r.prefix_cache is not None:
-            prefix_lines.append((name, r.prefix_cache))
-        verified = "-"
-        if args.verify:
-            ok = all(
-                np.array_equal(
-                    tokens_of(q.request_id),
-                    oracle(q.request_id, q.prefill_len, q.decode_len),
-                )
-                for q in reqs
-                if r.terminal_states.get(q.request_id) == "finished"
-            )
-            verified = "ok" if ok else "FAIL"
-        rows.append(
-            [
-                name,
-                f"{r.throughput_tokens_per_s:.0f}",
-                r.completed_requests,
-                r.max_batch,
-                r.preemptions,
-                verified,
-            ]
-        )
-    print(
-        format_table(
-            ["scheme", "tokens/s", "finished", "peak batch", "preempt",
-             "tokens==generate"],
-            rows,
-            title=f"{zoo_name} (numeric backend), batch<= {args.batch}, "
-            f"{len(reqs)} requests, {args.admission} admission",
-        )
-    )
-    for name, stats in prefix_lines:
-        _print_prefix_stats(name, stats)
-    for cluster in cluster_lines:
-        _print_cluster_stats(cluster)
-    if args.verify and any(row[-1] == "FAIL" for row in rows):
-        print("numeric serving diverged from the generate oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _build_open_loop_interactions(args: argparse.Namespace, max_len: int):
+def _build_open_loop_interactions(args: argparse.Namespace, workload):
     """Arrival schedule for ``repro serve --open-loop`` (deterministic)."""
-    from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import poisson_interactions, sharegpt_interactions
 
-    workload = ShareGPTWorkload(seed=args.seed, max_len=max_len)
     tenants = tuple(f"tenant{i}" for i in range(args.tenants))
     if args.conversations:
         return sharegpt_interactions(
@@ -303,9 +259,8 @@ def _build_open_loop_interactions(args: argparse.Namespace, max_len: int):
             think_mean_s=args.think,
             deadline_s=args.deadline,
         )
-    reqs = workload.sample_requests(args.requests)
     return poisson_interactions(
-        reqs,
+        workload.sample_requests(args.requests),
         rate=args.rate,
         seed=args.seed,
         tenants=tenants,
@@ -313,216 +268,138 @@ def _build_open_loop_interactions(args: argparse.Namespace, max_len: int):
     )
 
 
-def _cmd_serve_open_loop(args: argparse.Namespace) -> int:
-    """Open-loop traffic through the front-end (both backends)."""
-    import numpy as np
+def _print_open_loop(args, model_name: str, name: str, res, verified) -> None:
+    r = res.serving
+    print(
+        f"{model_name}  scheme={name}  scheduler={res.scheduler}  "
+        f"rate={args.rate}/s  {res.submitted} submitted "
+        f"({res.interactions} interactions, "
+        f"{res.interactions_completed} completed)"
+    )
+    limited = (
+        f"  rate_limited={res.rate_limited}"
+        if args.rate_limit is not None
+        else ""
+    )
+    check = f"  tokens==generate: {verified}" if args.verify else ""
+    print(
+        f"  tput={r.throughput_tokens_per_s:.0f} tok/s  "
+        f"finished={r.completed_requests}  timed_out={r.timed_out}  "
+        f"shed={r.shed}{limited}  preempt={r.preemptions}  "
+        f"goodput={res.slo.overall.goodput_rps:.3f} req/s  "
+        f"attainment={res.slo.overall.attainment:.1%}{check}"
+    )
+    _print_cluster_stats(r.cluster)
+    _print_prefix_stats(name, r.prefix_cache)
+    print(res.slo.table())
+    print()
 
-    from repro.serving import SCHEMES, NumericBackend, OpenLoopFrontend, ServingEngine
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
 
-    numeric = args.backend == "numeric"
+def _print_closed_loop(
+    args, model_name: str, numeric: bool, runs, n_requests: int
+) -> None:
     if numeric:
-        if args.tp > 1:
-            print("numeric backend does not support tensor parallelism",
-                  file=sys.stderr)
-            return 2
-        scheme_names, err = _resolve_numeric_schemes(args.scheme)
-        if err:
-            print(err, file=sys.stderr)
-            return 2
-        from repro.models.zoo import load_model
-
-        zoo_name = _NUMERIC_ZOO[args.model]
-        model = load_model(zoo_name)
-        max_len = model.config.max_seq_len
-        model_name = f"{zoo_name} (numeric backend)"
+        header = ["finished", "peak batch", "preempt", "tokens==generate"]
+        rows = [
+            [n, f"{r.throughput_tokens_per_s:.0f}", r.completed_requests,
+             r.max_batch, r.preemptions, v]
+            for n, r, v in runs
+        ]
     else:
-        specs = {
-            "llama-7b": LLAMA_7B,
-            "llama-13b": LLAMA_13B,
-            "llama-70b": LLAMA_70B,
-        }
-        scheme_names = (
-            [args.scheme] if args.scheme != "all" else list(SCHEMES)
+        header = ["latency ms", "TTFT s", "peak batch", "preempt"]
+        rows = [
+            [n, f"{r.throughput_tokens_per_s:.0f}",
+             f"{r.mean_decode_latency_s * 1e3:.1f}",
+             f"{r.mean_ttft_s:.2f}", r.max_batch, r.preemptions]
+            for n, r, _ in runs
+        ]
+    print(
+        format_table(
+            ["scheme", "tokens/s", *header],
+            rows,
+            title=f"{model_name}, batch<= {args.batch}, "
+            f"{n_requests} requests, {args.admission} admission",
         )
-        spec = specs[args.model]
-        max_len = 2048
-        model_name = f"{spec.name} (analytic backend)"
-    interactions = _build_open_loop_interactions(args, max_len)
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
-    failed = False
-    clustered = getattr(args, "replicas", 1) > 1
-    for name in scheme_names:
-        if numeric:
-            served = SCHEMES[name].quantize(model)
-
-            def build(name=name, served=served):
-                return NumericBackend.engine_for(
-                    served, SCHEMES[name], max_batch=args.batch,
-                    admission=args.admission, seed=args.seed,
-                    shed_policy="drop",
-                    prompts=(
-                        "conversation" if args.prefix_cache else "synthetic"
-                    ),
-                    prefix_cache=_prefix_cache_for(args),
-                    cache_aware_preempt=args.cache_aware_preempt,
-                )
-
-        else:
-
-            def build(name=name):
-                return ServingEngine(
-                    spec,
-                    SCHEMES[name],
-                    max_batch=args.batch,
-                    enforce_memory=not args.no_memory_limit,
-                    admission=args.admission,
-                    tp=tp,
-                    shed_policy="drop",
-                    prefix_cache=_prefix_cache_for(args),
-                    cache_aware_preempt=args.cache_aware_preempt,
-                )
-
-        engine = _wrap_cluster(args, build)
-        frontend = OpenLoopFrontend(
-            engine,
-            args.scheduler,
-            slo_ttft_s=args.slo_ttft,
-            slo_tbt_s=args.slo_tbt,
-            max_queue=args.max_queue,
-            rate_limit=args.rate_limit,
-            rate_limit_burst=args.rate_limit_burst,
-        )
-        res = frontend.run(interactions)
-        r = res.serving
-        verified = ""
-        if numeric and args.verify:
-            if clustered:
-                tokens_of = engine.generated_tokens
-                oracle = engine.engines[0].backend.runner.oracle_generate
-            else:
-                tokens_of = engine.backend.generated_tokens
-                oracle = engine.backend.runner.oracle_generate
-            ok = all(
-                np.array_equal(
-                    tokens_of(sub.request_id),
-                    oracle(
-                        sub.request_id,
-                        sub.request.prefill_len,
-                        sub.request.decode_len,
-                    ),
-                )
-                for sub in res.submissions
-                if r.terminal_states.get(sub.request_id) == "finished"
-            )
-            verified = (
-                "  tokens==generate: ok" if ok else "  tokens==generate: FAIL"
-            )
-            failed = failed or not ok
-        print(
-            f"{model_name}  scheme={name}  scheduler={res.scheduler}  "
-            f"rate={args.rate}/s  {res.submitted} submitted "
-            f"({res.interactions} interactions, "
-            f"{res.interactions_completed} completed)"
-        )
-        limited = (
-            f"  rate_limited={res.rate_limited}"
-            if args.rate_limit is not None
-            else ""
-        )
-        print(
-            f"  tput={r.throughput_tokens_per_s:.0f} tok/s  "
-            f"finished={r.completed_requests}  timed_out={r.timed_out}  "
-            f"shed={r.shed}{limited}  preempt={r.preemptions}  "
-            f"goodput={res.slo.overall.goodput_rps:.3f} req/s  "
-            f"attainment={res.slo.overall.attainment:.1%}{verified}"
-        )
-        _print_cluster_stats(r.cluster)
+    )
+    for name, r, _ in runs:
         _print_prefix_stats(name, r.prefix_cache)
-        print(res.slo.table())
-        print()
-    if failed:
-        print("numeric serving diverged from the generate oracle",
-              file=sys.stderr)
-        return 1
-    return 0
+    for _, r, _ in runs:
+        _print_cluster_stats(r.cluster)
+    if args.deadline is not None:
+        for name, r, _ in runs:
+            print(f"  {name}: {r.timed_out}/{n_requests} timed out past "
+                  f"the {args.deadline:g} s deadline, {r.shed} shed")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve a workload on either backend, closed or open loop."""
     from repro.data.sharegpt import ShareGPTWorkload
-    from repro.serving import SCHEMES, ServingEngine
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
+    from repro.serving import SCHEMES, OpenLoopFrontend, oracle_mismatches
+    from repro.serving.models import SERVING_SPECS, ZOO_ANALOGS
 
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+    numeric = args.backend == "numeric"
+    if args.verify and not numeric:
+        print("--verify needs --backend numeric (the analytic backend "
+              "produces no tokens to check)", file=sys.stderr)
+        return 2
+    if numeric and args.tp > 1:
+        print("numeric backend does not support tensor parallelism",
+              file=sys.stderr)
+        return 2
+    scheme_names, err = _resolve_schemes(args.scheme, numeric)
+    if err:
+        print(err, file=sys.stderr)
+        return 2
+    spec = SERVING_SPECS[args.model]
+    model = None
+    if numeric:
+        from repro.models.zoo import load_model
 
+        model = load_model(ZOO_ANALOGS[args.model])
+        # Requests must fit the small model's context window.
+        max_len = model.config.max_seq_len
+        model_name = f"{ZOO_ANALOGS[args.model]} (numeric backend)"
+    else:
+        max_len = 2048
+        model_name = f"{spec.name} (analytic backend)"
+    workload = ShareGPTWorkload(seed=args.seed, max_len=max_len)
     if args.open_loop:
-        return _cmd_serve_open_loop(args)
-    if args.backend == "numeric":
-        return _cmd_serve_numeric(args)
+        interactions = _build_open_loop_interactions(args, workload)
+    else:
+        reqs = workload.sample_requests(args.requests)
 
-    specs = {"llama-7b": LLAMA_7B, "llama-13b": LLAMA_13B, "llama-70b": LLAMA_70B}
-    spec = specs[args.model]
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
-    schemes = (
-        [SCHEMES[args.scheme]] if args.scheme != "all" else list(SCHEMES.values())
-    )
-    reqs = ShareGPTWorkload(seed=args.seed, max_len=2048).sample_requests(
-        args.requests
-    )
-    rows = []
-    prefix_lines = []
-    cluster_lines = []
-    clustered = getattr(args, "replicas", 1) > 1
-    for scheme in schemes:
+    runs = []
+    for name in scheme_names:
+        scheme = SCHEMES[name]
+        served = scheme.quantize(model) if numeric else None
+        engine = _serve_engine(args, scheme, spec, served)
+        if args.open_loop:
+            res = OpenLoopFrontend(
+                engine,
+                args.scheduler,
+                slo_ttft_s=args.slo_ttft,
+                slo_tbt_s=args.slo_tbt,
+                max_queue=args.max_queue,
+                rate_limit=args.rate_limit,
+                rate_limit_burst=args.rate_limit_burst,
+            ).run(interactions)
+            r, submitted = res.serving, [s.request for s in res.submissions]
+        else:
+            r, submitted = engine.run(reqs), reqs
+        verified = "-"
+        if args.verify:
+            bad = oracle_mismatches(engine, r, submitted)
+            verified = "FAIL" if bad else "ok"
+        if args.open_loop:
+            _print_open_loop(args, model_name, name, res, verified)
+        runs.append((name, r, verified))
 
-        def build(scheme=scheme):
-            return ServingEngine(
-                spec,
-                scheme,
-                max_batch=args.batch,
-                enforce_memory=not args.no_memory_limit,
-                admission=args.admission,
-                tp=tp,
-                shed_policy="drop" if clustered else "raise",
-                prefix_cache=_prefix_cache_for(args),
-                cache_aware_preempt=args.cache_aware_preempt,
-            )
-
-        engine = _wrap_cluster(args, build)
-        r = engine.run(reqs)
-        if r.prefix_cache is not None:
-            prefix_lines.append((scheme.name, r.prefix_cache))
-        if clustered:
-            cluster_lines.append(r.cluster)
-        rows.append(
-            [
-                scheme.name,
-                f"{r.throughput_tokens_per_s:.0f}",
-                f"{r.mean_decode_latency_s * 1e3:.1f}",
-                f"{r.mean_ttft_s:.2f}",
-                r.max_batch,
-                r.preemptions,
-            ]
-        )
-    print(
-        format_table(
-            ["scheme", "tokens/s", "latency ms", "TTFT s", "peak batch", "preempt"],
-            rows,
-            title=f"{spec.name} (analytic backend), batch<= {args.batch}, "
-            f"{len(reqs)} requests, {args.admission} admission",
-        )
-    )
-    for name, stats in prefix_lines:
-        _print_prefix_stats(name, stats)
-    for cluster in cluster_lines:
-        _print_cluster_stats(cluster)
+    if not args.open_loop:
+        _print_closed_loop(args, model_name, numeric, runs, len(reqs))
+    if any(v == "FAIL" for _, _, v in runs):
+        print("numeric serving diverged from the generate oracle",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -530,16 +407,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.data.sharegpt import ShareGPTWorkload
     from repro.serving import SCHEMES, ServingEngine, TraceRecorder
     from repro.serving.faults import FaultPlan
-    from repro.serving.models import LLAMA_13B, LLAMA_70B, LLAMA_7B
-    from repro.serving.parallel import NVLINK, PCIE_4, TPConfig
+    from repro.serving.models import SERVING_SPECS
     from repro.serving.telemetry import write_csv, write_jsonl
 
-    specs = {"llama-7b": LLAMA_7B, "llama-13b": LLAMA_13B, "llama-70b": LLAMA_70B}
-    spec = specs[args.model]
-    tp = None
-    if args.tp > 1:
-        ic = NVLINK if args.interconnect == "nvlink" else PCIE_4
-        tp = TPConfig(args.tp, ic)
+    spec = SERVING_SPECS[args.model]
+    tp = _tp_config(args)
     reqs = ShareGPTWorkload(seed=args.seed, max_len=2048).sample_requests(
         args.requests
     )
@@ -556,7 +428,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         degrade_kwargs["shed_policy"] = "drop"
     recorder = TraceRecorder()
     engine = ServingEngine(
-        specs[args.model],
+        spec,
         SCHEMES[args.scheme],
         max_batch=args.batch,
         admission=args.admission,
@@ -631,6 +503,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_tail(
+    args: argparse.Namespace, payload: dict, write, read, check
+) -> int:
+    """Write ``-o``, then gate ``payload`` against ``--check-against``.
+
+    Exit 2 on an unreadable baseline, 1 on a regression, else 0.
+    """
+    if args.output:
+        write(payload, args.output)
+        print(f"wrote {args.output}")
+    if not args.check_against:
+        return 0
+    try:
+        baseline = read(args.check_against)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"cannot read baseline {args.check_against}: {exc}",
+              file=sys.stderr)
+        return 2
+    problems = check(payload, baseline, max_slowdown=args.max_slowdown)
+    for msg in problems:
+        print(f"REGRESSION: {msg}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"no regression vs {args.check_against}")
+    return 0
+
+
 def _cmd_bench_prefix(args: argparse.Namespace) -> int:
     """Warm-vs-cold prefix-cache sweep through the numeric serving backend."""
     from repro.bench.serving_perf import (
@@ -655,25 +554,10 @@ def _cmd_bench_prefix(args: argparse.Namespace) -> int:
     print(f"warm speedup over cold prefill: {payload['warm_speedup']:.2f}x")
     print("tokens verified bit-identical to generate oracle (both runs): "
           f"{payload['verified_bit_identical']}")
-    if args.output:
-        write_serving_bench_json(payload, args.output)
-        print(f"wrote {args.output}")
-    if args.check_against:
-        try:
-            baseline = read_prefix_bench_json(args.check_against)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read baseline {args.check_against}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = check_prefix_cache_regression(
-            payload, baseline, max_slowdown=args.max_slowdown
-        )
-        if problems:
-            for msg in problems:
-                print(f"REGRESSION: {msg}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against}")
-    return 0
+    return _bench_tail(
+        args, payload, write_serving_bench_json, read_prefix_bench_json,
+        check_prefix_cache_regression,
+    )
 
 
 def _cmd_bench_pareto(args: argparse.Namespace) -> int:
@@ -701,30 +585,15 @@ def _cmd_bench_pareto(args: argparse.Namespace) -> int:
           + ", ".join(payload["pareto_front"]))
     print("tokens verified bit-identical to generate oracle (all schemes): "
           "True")
-    if args.output:
-        write_pareto_bench_json(payload, args.output)
-        print(f"wrote {args.output}")
-    if args.check_against:
-        try:
-            baseline = read_pareto_bench_json(args.check_against)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read baseline {args.check_against}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = check_pareto_regression(
-            payload, baseline, max_slowdown=args.max_slowdown
-        )
-        if problems:
-            for msg in problems:
-                print(f"REGRESSION: {msg}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against}")
-    return 0
+    return _bench_tail(
+        args, payload, write_pareto_bench_json, read_pareto_bench_json,
+        check_pareto_regression,
+    )
 
 
 def _cmd_bench_serving(args: argparse.Namespace) -> int:
     """Batched-decode microbenchmark through the numeric serving backend."""
-    if getattr(args, "prefix_cache", False):
+    if args.prefix_cache:
         return _cmd_bench_prefix(args)
     from repro.bench.serving_perf import (
         check_serving_regression,
@@ -734,38 +603,21 @@ def _cmd_bench_serving(args: argparse.Namespace) -> int:
         write_serving_bench_json,
     )
 
-    batched = not getattr(args, "sequential", False)
-    payload = run_serving_bench(quick=args.quick, batched=batched)
+    payload = run_serving_bench(quick=args.quick)
     print(
         format_table(
             ["batch", "decode tokens", "wall s", "tokens/s"],
             format_serving_rows(payload),
-            title="numeric serving backend, "
-            + ("fused batched decode" if batched else "sequential decode")
+            title="numeric serving backend, fused batched decode"
             + (" (quick)" if args.quick else ""),
         )
     )
     print("tokens verified bit-identical to generate oracle: "
           f"{payload['verified_bit_identical']}")
-    if args.output:
-        write_serving_bench_json(payload, args.output)
-        print(f"wrote {args.output}")
-    if args.check_against:
-        try:
-            baseline = read_serving_bench_json(args.check_against)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read baseline {args.check_against}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = check_serving_regression(
-            payload, baseline, max_slowdown=args.max_slowdown
-        )
-        if problems:
-            for msg in problems:
-                print(f"REGRESSION: {msg}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against}")
-    return 0
+    return _bench_tail(
+        args, payload, write_serving_bench_json, read_serving_bench_json,
+        check_serving_regression,
+    )
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -778,7 +630,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    if getattr(args, "pareto", False):
+    if args.pareto:
         return _cmd_bench_pareto(args)
     if args.serving:
         return _cmd_bench_serving(args)
@@ -797,10 +649,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"decode throughput: {d['before_tokens_per_s']:.1f} -> "
         f"{d['after_tokens_per_s']:.1f} tokens/s"
     )
-    if args.output:
-        write_bench_json(payload, args.output)
-        print(f"wrote {args.output}")
-
     if args.trace:
         from repro.serving import TraceRecorder
         from repro.serving.telemetry import summarize, write_jsonl
@@ -821,23 +669,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"linear time split: quantize {100 * t_quant / total:.1f}% / "
                 f"GEMM+epilogue {100 * t_dense / total:.1f}%"
             )
-
-    if args.check_against:
-        try:
-            baseline = read_bench_json(args.check_against)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read baseline {args.check_against}: {exc}",
-                  file=sys.stderr)
-            return 2
-        problems = check_regression(
-            payload, baseline, max_slowdown=args.max_slowdown
-        )
-        if problems:
-            for msg in problems:
-                print(f"REGRESSION: {msg}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check_against}")
-    return 0
+    return _bench_tail(
+        args, payload, write_bench_json, read_bench_json, check_regression
+    )
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
@@ -901,6 +735,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # Scheme choices come from the one registry — registering a new scheme
     # makes it servable/traceable/benchable without touching the CLI.
+    from repro.serving.models import SERVING_SPECS
     from repro.serving.schemes import SCHEMES
 
     scheme_choices = tuple(SCHEMES)
@@ -940,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("serve", help="serving simulation (Fig. 10)")
     s.add_argument("-m", "--model", default="llama-7b",
-                   choices=("llama-7b", "llama-13b", "llama-70b"))
+                   choices=tuple(SERVING_SPECS))
     s.add_argument("--scheme", default="all",
                    choices=("all", *scheme_choices))
     s.add_argument("--batch", type=int, default=64)
@@ -1018,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run a serving workload with telemetry and dump the trace"
     )
     t.add_argument("-m", "--model", default="llama-7b",
-                   choices=("llama-7b", "llama-13b", "llama-70b"))
+                   choices=tuple(SERVING_SPECS))
     t.add_argument("--scheme", default="Atom-W4A4",
                    choices=scheme_choices)
     t.add_argument("--batch", type=int, default=64)
@@ -1056,11 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trace", default=None, metavar="JSONL",
                    help="also write a kernel-phase telemetry trace "
                         "(quantize vs GEMM time per linear call)")
-    b.add_argument("--sequential", action="store_true",
-                   help="with --serving: decode per-request (decode_one "
-                        "loop) instead of the fused cross-request batched "
-                        "path — the 'before' comparison for the batching "
-                        "speedup")
     b.add_argument("--serving", action="store_true",
                    help="run the batched-decode microbenchmark through the "
                         "numeric serving backend instead (tokens/s vs batch "

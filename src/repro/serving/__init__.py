@@ -61,6 +61,7 @@ from repro.serving.backend import (
     NumericBackend,
     PrefillChunk,
     StepTiming,
+    oracle_mismatches,
 )
 from repro.serving.model_runner import (
     ModelRunner,
@@ -242,6 +243,7 @@ __all__ = [
     "gemm_tops",
     "make_scheduler",
     "numeric_scheme_names",
+    "oracle_mismatches",
     "poisson_interactions",
     "read_jsonl",
     "register_scheme",

@@ -41,6 +41,8 @@ import abc
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.serving.hardware import GPUSpec, RTX_4090
 from repro.serving.kernels import (
     attention_decode_time,
@@ -69,6 +71,7 @@ __all__ = [
     "NumericBackend",
     "PrefillChunk",
     "StepTiming",
+    "oracle_mismatches",
 ]
 
 
@@ -279,7 +282,6 @@ class NumericBackend(ExecutionBackend):
         temperature: float = 0.0,
         seed: int = 0,
         store=None,
-        batched: bool = True,
         prompts: str = "synthetic",
     ) -> None:
         from repro.serving.model_runner import ModelRunner
@@ -293,12 +295,6 @@ class NumericBackend(ExecutionBackend):
             store=store,
             prompts=prompts,
         )
-        #: Fused cross-request decode: one ``forward_batch`` per engine step
-        #: instead of a per-request ``decode_one`` loop.  Tokens are
-        #: bit-identical either way (the batched path is batch-size-
-        #: invariant); ``False`` keeps the sequential loop as the oracle /
-        #: "before" baseline.
-        self.batched = batched
         self._timing = AnalyticBackend()
 
     def bind(
@@ -321,7 +317,6 @@ class NumericBackend(ExecutionBackend):
         page_size: int = 16,
         temperature: float = 0.0,
         seed: int = 0,
-        batched: bool = True,
         prompts: str = "synthetic",
         check_codec: bool = True,
         **engine_kwargs,
@@ -355,7 +350,6 @@ class NumericBackend(ExecutionBackend):
             page_size=page_size,
             temperature=temperature,
             seed=seed,
-            batched=batched,
             prompts=prompts,
         )
         return ServingEngine(
@@ -408,7 +402,7 @@ class NumericBackend(ExecutionBackend):
         return self._timing.execute_step(prefill, decode)
 
     def _decode(self, decode: list[DecodeSlot]) -> None:
-        """Run the step's decode slots — fused by default, instrumented.
+        """Run the step's decode slots in one fused ``decode_batch``.
 
         With telemetry enabled, the quantized linears' kernel-phase sinks
         are temporarily pointed at a collector so each step emits one
@@ -418,7 +412,7 @@ class NumericBackend(ExecutionBackend):
         request_ids = [d.request_id for d in decode]
         tel = self.telemetry
         if not tel.enabled:
-            self._run_decode(request_ids)
+            self.runner.decode_batch(request_ids)
             return
         collector = _KernelPhaseCollector()
         patched = []
@@ -428,7 +422,7 @@ class NumericBackend(ExecutionBackend):
                 lin.telemetry = collector
         t0 = time.perf_counter()
         try:
-            self._run_decode(request_ids)
+            self.runner.decode_batch(request_ids)
         finally:
             wall = time.perf_counter() - t0
             for lin, prev in patched:
@@ -436,18 +430,10 @@ class NumericBackend(ExecutionBackend):
         tel.emit(
             BatchedDecodeSample,
             decode_batch=len(request_ids),
-            batched=self.batched,
             t_quant_s=collector.t_quant,
             t_dense_s=collector.t_dense,
             t_wall_s=wall,
         )
-
-    def _run_decode(self, request_ids: list[int]) -> None:
-        if self.batched:
-            self.runner.decode_batch(request_ids)
-        else:
-            for rid in request_ids:
-                self.runner.decode_one(rid)
 
     def comm_time(self, m: int) -> float:
         return self._timing.comm_time(m)
@@ -458,3 +444,27 @@ class NumericBackend(ExecutionBackend):
     def prompt_for(self, request_id: int, prefill_len: int):
         """The synthetic prompt a request is served with (for oracle tests)."""
         return self.runner.prompt_for(request_id, prefill_len)
+
+
+def oracle_mismatches(engine, result, requests) -> list[int]:
+    """Ids of finished requests whose tokens differ from ``generate``.
+
+    ``engine`` is a numeric-backend
+    :class:`~repro.serving.engine.ServingEngine` or a
+    :class:`~repro.serving.cluster.ClusterEngine` of them (replicas
+    serve one model, so any replica's runner is the oracle); ``result`` is
+    its run's :class:`~repro.serving.engine.ServingResult`, whose terminal
+    states select the finished requests among ``requests``.
+    """
+    runner = getattr(engine, "engines", [engine])[0].backend.runner
+    # A cluster asks every replica; a bare engine's runner holds the tokens.
+    tokens_of = getattr(engine, "generated_tokens", runner.tokens)
+    return [
+        r.request_id
+        for r in requests
+        if result.terminal_states.get(r.request_id) == "finished"
+        and not np.array_equal(
+            tokens_of(r.request_id),
+            runner.oracle_generate(r.request_id, r.prefill_len, r.decode_len),
+        )
+    ]

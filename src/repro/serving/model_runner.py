@@ -280,7 +280,12 @@ class ModelRunner:
         return nxt
 
     def decode_one(self, request_id: int) -> int:
-        """One decode step: forward the last token, sample the next."""
+        """One decode step: forward the last token, sample the next.
+
+        The serving path decodes through :meth:`decode_batch`; this
+        per-request step is the runner-level reference that batched decode
+        is tested against (same tokens, same rng states).
+        """
         state = self._states[request_id]
         last = state.tokens[-1]
         logits = self.model.forward(

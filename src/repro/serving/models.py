@@ -19,6 +19,8 @@ __all__ = [
     "LLAMA_7B",
     "LLAMA_13B",
     "LLAMA_70B",
+    "SERVING_SPECS",
+    "ZOO_ANALOGS",
 ]
 
 
@@ -100,3 +102,17 @@ LLAMA_13B = ServingModelSpec(
 LLAMA_70B = ServingModelSpec(
     "Llama-70B", dim=8192, n_layers=80, n_heads=64, n_kv_heads=8, ffn_dim=28672
 )
+
+#: CLI model names (``repro serve``/``trace -m``) -> full-size shapes.
+SERVING_SPECS = {
+    "llama-7b": LLAMA_7B,
+    "llama-13b": LLAMA_13B,
+    "llama-70b": LLAMA_70B,
+}
+
+#: CLI model names -> the trained zoo analog the numeric backend executes.
+ZOO_ANALOGS = {
+    "llama-7b": "llama-7b-sim",
+    "llama-13b": "llama-13b-sim",
+    "llama-70b": "llama2-70b-sim",
+}

@@ -263,13 +263,12 @@ class BatchedDecodeSample(TraceEvent):
 
     Unlike :class:`IterationSample` (simulated per-phase cost from the
     analytic model), this records *real* kernel wall-clock: ``decode_batch``
-    requests decoded in one fused (or, with ``batched=False``, sequential)
-    pass, with ``t_quant_s``/``t_dense_s`` aggregated from the quantized
-    linears' own kernel-phase samples and ``t_wall_s`` the whole step.
+    requests decoded in one fused pass, with ``t_quant_s``/``t_dense_s``
+    aggregated from the quantized linears' own kernel-phase samples and
+    ``t_wall_s`` the whole step.
     """
 
     decode_batch: int = 0
-    batched: bool = True
     t_quant_s: float = 0.0
     t_dense_s: float = 0.0
     t_wall_s: float = 0.0

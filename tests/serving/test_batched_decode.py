@@ -380,7 +380,7 @@ class TestDecodeBatchProperty:
 # Telemetry: per-step batch size + kernel phase timings
 # --------------------------------------------------------------------- #
 class TestBatchedDecodeTelemetry:
-    def _run(self, model, *, batched, scheme="Atom-W4A4"):
+    def _run(self, model, *, scheme="Atom-W4A4"):
         rec = TraceRecorder()
         engine = NumericBackend.engine_for(
             model,
@@ -388,7 +388,6 @@ class TestBatchedDecodeTelemetry:
             max_batch=4,
             admission="reserve",
             telemetry=rec,
-            batched=batched,
         )
         reqs = [Request(i, 8 + 2 * i, 5 + i) for i in range(4)]
         result = engine.run(reqs)
@@ -396,11 +395,10 @@ class TestBatchedDecodeTelemetry:
         return rec, result
 
     def test_batched_decode_samples_recorded(self, atom_model):
-        rec, result = self._run(atom_model, batched=True)
+        rec, result = self._run(atom_model)
         samples = [e for e in rec.events if isinstance(e, BatchedDecodeSample)]
         assert samples, "no BatchedDecodeSample events recorded"
         assert all(s.event == "batched_decode" for s in samples)
-        assert all(s.batched for s in samples)
         assert all(s.decode_batch >= 1 for s in samples)
         assert max(s.decode_batch for s in samples) > 1
         assert all(s.t_wall_s > 0 for s in samples)
@@ -409,14 +407,8 @@ class TestBatchedDecodeTelemetry:
         assert any(s.t_quant_s > 0 for s in samples)
         assert any(s.t_dense_s > 0 for s in samples)
 
-    def test_sequential_decode_samples_tagged(self, atom_model):
-        rec, _ = self._run(atom_model, batched=False)
-        samples = [e for e in rec.events if isinstance(e, BatchedDecodeSample)]
-        assert samples
-        assert all(not s.batched for s in samples)
-
     def test_samples_round_trip_jsonl(self, atom_model):
-        rec, _ = self._run(atom_model, batched=True)
+        rec, _ = self._run(atom_model)
         buf = io.StringIO()
         write_jsonl(rec.events, buf)
         buf.seek(0)
@@ -426,7 +418,7 @@ class TestBatchedDecodeTelemetry:
         assert got == want
 
     def test_result_batch_occupancy_histogram(self, atom_model):
-        rec, result = self._run(atom_model, batched=True)
+        rec, result = self._run(atom_model)
         hist = result.decode_batch_hist
         assert hist, "decode_batch_hist is empty"
         assert all(b >= 1 for b in hist)

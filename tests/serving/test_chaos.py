@@ -368,8 +368,7 @@ class TestOpenLoopNumericChaos:
         )
         return build_bench_model(cfg, seed=0)
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["fused", "sequential"])
-    def test_faulted_open_loop_is_bit_identical(self, model, batched):
+    def test_faulted_open_loop_is_bit_identical(self, model):
         rec = TraceRecorder()
         engine = NumericBackend.engine_for(
             model,
@@ -379,7 +378,6 @@ class TestOpenLoopNumericChaos:
             seed=0,
             shed_policy="drop",
             telemetry=rec,
-            batched=batched,
         )
         inters = [
             Interaction(

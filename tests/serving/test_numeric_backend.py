@@ -19,14 +19,18 @@ from repro.models.config import ModelConfig
 from repro.serving import (
     SCHEMES,
     CancelFault,
+    ClusterEngine,
     FaultPlan,
     ModelRunner,
     NumericBackend,
     PagePoolFault,
+    ServingEngine,
     StragglerFault,
     TraceRecorder,
+    oracle_mismatches,
     synthetic_prompt,
 )
+from repro.serving.models import serving_spec_for
 
 #: Small GQA config for fast numeric runs (4 query heads per KV head).
 NUMERIC_TEST_CONFIG = ModelConfig(
@@ -133,9 +137,6 @@ class TestBitIdentity:
     def test_sampled_decoding_matches_generate(self, fp_model):
         """Temperature > 0: the per-request rng streams line up too."""
         backend = NumericBackend(fp_model, temperature=0.8, seed=42)
-        from repro.serving.engine import ServingEngine
-        from repro.serving.models import serving_spec_for
-
         engine = ServingEngine(
             serving_spec_for(fp_model.config),
             SCHEMES["FP16"],
@@ -146,6 +147,60 @@ class TestBitIdentity:
         result = engine.run(reqs)
         assert result.completed_requests == len(reqs)
         _assert_oracle_identical(backend, reqs)
+
+
+class TestOracleMismatches:
+    """``oracle_mismatches``: the one finished-tokens == generate check."""
+
+    def _engine(self, model, **kwargs):
+        return NumericBackend.engine_for(
+            model, SCHEMES["FP16"], max_batch=4, admission="reserve",
+            **kwargs,
+        )
+
+    def test_clean_run_has_no_mismatches(self, fp_model):
+        engine = self._engine(fp_model)
+        reqs = _requests(5)
+        result = engine.run(reqs)
+        assert result.completed_requests == len(reqs)
+        assert oracle_mismatches(engine, result, reqs) == []
+
+    def test_corrupted_tokens_are_reported(self, fp_model):
+        engine = self._engine(fp_model)
+        reqs = _requests(5)
+        result = engine.run(reqs)
+        tokens = engine.backend.runner.finished_tokens
+        tokens[3] = tokens[3].copy()
+        tokens[3][-1] += 1
+        assert oracle_mismatches(engine, result, reqs) == [3]
+
+    def test_only_finished_requests_are_checked(self, fp_model):
+        engine = self._engine(fp_model)
+        reqs = _requests(5)
+        plan = FaultPlan(
+            cancellations=(CancelFault(iteration=2, request_id=1),)
+        )
+        result = engine.run(reqs, faults=plan)
+        assert result.terminal_states[1] == "cancelled"
+        assert engine.backend.generated_tokens(1) is None
+        assert oracle_mismatches(engine, result, reqs) == []
+
+    def test_cluster_engine(self, fp_model):
+        cluster = ClusterEngine(
+            [self._engine(fp_model, shed_policy="drop") for _ in range(2)]
+        )
+        reqs = _requests(6)
+        result = cluster.run(reqs)
+        assert result.completed_requests == len(reqs)
+        assert oracle_mismatches(cluster, result, reqs) == []
+        # Tokens live on whichever replica finished the request.
+        owner = next(
+            e
+            for e in cluster.engines
+            if e.backend.generated_tokens(4) is not None
+        )
+        owner.backend.runner.finished_tokens[4] = np.zeros(3, dtype=np.int64)
+        assert oracle_mismatches(cluster, result, reqs) == [4]
 
 
 class TestPreemptionRecompute:
@@ -340,20 +395,27 @@ class TestGuards:
 
 class TestBatchedVsSequential:
     """The fused cross-request decode path (``decode_batch``) must be
-    bit-identical to the retained sequential oracle path (``decode_one``)
-    — tokens, terminal states, and per-request rng streams — including
-    under pinned chaos schedules with mid-decode preemption."""
+    bit-identical to the runner-level per-request reference
+    (``decode_one``) and to the ``generate`` oracle — tokens, terminal
+    states, and per-request rng streams — including under pinned chaos
+    schedules with mid-decode preemption."""
 
-    def _chaos_run(self, model, *, seed, batched):
-        engine = NumericBackend.engine_for(
-            model,
+    def _chaos_run(self, model, *, seed, numeric=True):
+        scheme = (
             SCHEMES["FP16"] if model.config.name == "numeric-test"
-            else SCHEMES["Atom-W4A4"],
-            max_batch=8,
-            admission="dynamic",
-            seed=seed,
-            batched=batched,
+            else SCHEMES["Atom-W4A4"]
         )
+        kwargs = dict(max_batch=8, admission="dynamic")
+        if numeric:
+            engine = NumericBackend.engine_for(
+                model, scheme, seed=seed, **kwargs
+            )
+        else:
+            # The same schedule on the analytic backend: no tokens, same
+            # simulated clock and page accounting.
+            engine = ServingEngine(
+                serving_spec_for(model.config), scheme, **kwargs
+            )
         # Same chaos family as TestPreemptionRecompute, with the fault
         # schedule and victim varied by the pinned seed.
         shrink = engine._allocator.total_pages - 6
@@ -369,61 +431,39 @@ class TestBatchedVsSequential:
         result = engine.run(reqs, faults=plan)
         return engine, reqs, result
 
+    def _assert_schedule_matches_analytic(self, model, seed, result):
+        """Executing real numerics never perturbs the schedule."""
+        _, _, ref = self._chaos_run(model, seed=seed, numeric=False)
+        assert result.terminal_states == ref.terminal_states
+        assert result.preemptions == ref.preemptions
+        assert result.total_time_s == ref.total_time_s
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_chaos_tokens_identical_across_paths(self, fp_model, seed):
-        eng_b, reqs, res_b = self._chaos_run(fp_model, seed=seed, batched=True)
-        eng_s, _, res_s = self._chaos_run(fp_model, seed=seed, batched=False)
-        assert res_b.preemptions > 0, "chaos schedule must force preemption"
-        assert res_b.terminal_states == res_s.terminal_states
-        assert res_b.preemptions == res_s.preemptions
+        """Fused paged decode == dense-cache generate, token for token."""
+        engine, reqs, result = self._chaos_run(fp_model, seed=seed)
+        assert result.preemptions > 0, "chaos schedule must force preemption"
+        self._assert_schedule_matches_analytic(fp_model, seed, result)
         finished = {
             rid
-            for rid, state in res_b.terminal_states.items()
+            for rid, state in result.terminal_states.items()
             if state == "finished"
         }
         assert finished
-        for rid in finished:
-            np.testing.assert_array_equal(
-                eng_b.backend.generated_tokens(rid),
-                eng_s.backend.generated_tokens(rid),
-                err_msg=f"request {rid}: batched != sequential (seed {seed})",
-            )
-        _assert_oracle_identical(eng_b.backend, reqs, expect=finished)
-        _assert_oracle_identical(eng_s.backend, reqs, expect=finished)
-        _assert_clean_accounting(eng_b)
-        _assert_clean_accounting(eng_s)
+        _assert_oracle_identical(engine.backend, reqs, expect=finished)
+        _assert_clean_accounting(engine)
 
     def test_chaos_atom_quantized_identical_across_paths(self, atom_model):
-        eng_b, reqs, res_b = self._chaos_run(atom_model, seed=0, batched=True)
-        eng_s, _, res_s = self._chaos_run(atom_model, seed=0, batched=False)
-        assert res_b.preemptions > 0
-        assert res_b.terminal_states == res_s.terminal_states
+        engine, reqs, result = self._chaos_run(atom_model, seed=0)
+        assert result.preemptions > 0
+        self._assert_schedule_matches_analytic(atom_model, 0, result)
         finished = {
             rid
-            for rid, state in res_b.terminal_states.items()
+            for rid, state in result.terminal_states.items()
             if state == "finished"
         }
-        for rid in finished:
-            np.testing.assert_array_equal(
-                eng_b.backend.generated_tokens(rid),
-                eng_s.backend.generated_tokens(rid),
-            )
-        _assert_oracle_identical(eng_b.backend, reqs, expect=finished)
-
-    def test_sequential_backend_still_matches_generate(self, fp_model):
-        """``batched=False`` keeps the per-request oracle path alive."""
-        engine = NumericBackend.engine_for(
-            fp_model,
-            SCHEMES["FP16"],
-            max_batch=4,
-            admission="reserve",
-            batched=False,
-        )
-        assert engine.backend.batched is False
-        reqs = _requests(6)
-        result = engine.run(reqs)
-        assert result.completed_requests == len(reqs)
-        _assert_oracle_identical(engine.backend, reqs)
+        assert finished
+        _assert_oracle_identical(engine.backend, reqs, expect=finished)
         _assert_clean_accounting(engine)
 
     def test_rng_streams_advance_identically(self, fp_model):

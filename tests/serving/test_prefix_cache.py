@@ -10,9 +10,9 @@ Four layers, mirroring the design's trust chain:
    never mutate the shared physical page other readers gather from.
 3. **Bit-identity oracles** — warm (cache-hit) numeric serving produces
    exactly the tokens of cold runs and of per-request
-   ``LlamaModel.generate``: FP16 and Atom-quantized (KV codec on), fused
-   and sequential decode, and under page-pool faults that force mid-decode
-   eviction and preempt-resume over leased pages.
+   ``LlamaModel.generate``: FP16 and Atom-quantized (KV codec on), and
+   under page-pool faults that force mid-decode eviction and preempt-resume
+   over leased pages.
 4. **Workload regression** — pinned-seed ShareGPT conversations through the
    open-loop front-end must keep hitting at the recorded rate, and the new
    telemetry events must round-trip through JSONL.
@@ -424,19 +424,13 @@ def _assert_clean_teardown(engine):
 
 class TestNumericBitIdentity:
     @pytest.mark.parametrize("model_name", ["fp", "atom"])
-    @pytest.mark.parametrize(
-        "batched", [True, False], ids=["fused", "sequential"]
-    )
-    def test_warm_tokens_match_generate_oracle(
-        self, request, model_name, batched
-    ):
+    def test_warm_tokens_match_generate_oracle(self, request, model_name):
         """Warm (cache-hit) serving is bit-identical to the dense-cache
-        generate oracle — with and without the KV codec, fused and
-        sequential decode."""
+        generate oracle — with and without the KV codec."""
         model = request.getfixturevalue(f"{model_name}_model")
         scheme = "Atom-W4A4" if model_name == "atom" else "FP16"
         reqs = _conversations()
-        engine = _warm_engine(model, scheme, batched=batched)
+        engine = _warm_engine(model, scheme)
         result = engine.run(reqs)
         assert result.completed_requests == len(reqs)
         pc = result.prefix_cache

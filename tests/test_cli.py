@@ -66,6 +66,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Atom-W4A4" in out and "tokens/s" in out
 
+    def test_serve_deadline_times_requests_out(self, capsys):
+        argv = ["serve", "--scheme", "Atom-W4A4", "--requests", "32",
+                "--batch", "16"]
+        assert main(argv) == 0
+        unbounded = capsys.readouterr().out
+        assert main(argv + ["--deadline", "0.01"]) == 0
+        out = capsys.readouterr().out
+        assert out != unbounded
+        assert "Atom-W4A4: 32/32 timed out past the 0.01 s deadline" in out
+
+    def test_serve_verify_needs_numeric_backend(self, capsys):
+        assert main(["serve", "--scheme", "FP16", "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "--verify needs --backend numeric" in captured.err
+        assert captured.out == ""
+
     def test_quantize_runs(self, capsys, model7b):
         # model7b fixture guarantees the zoo checkpoint exists already.
         assert main(["quantize", "-m", "llama-7b-sim"]) == 0
@@ -354,34 +370,16 @@ class TestServingBenchCommand:
         payload, path = serving_bench_payload
         monkeypatch.setattr(
             "repro.bench.serving_perf.run_serving_bench",
-            lambda *, quick=False, seed=0, batched=True: copy.deepcopy(payload),
+            lambda *, quick=False, seed=0: copy.deepcopy(payload),
         )
         self.payload, self.baseline_path = payload, path
 
     def test_serving_flag_parses(self):
         args = build_parser().parse_args(["bench", "--serving"])
         assert args.serving is True
-        assert args.sequential is False
-
-    def test_sequential_flag_parses(self):
-        args = build_parser().parse_args(["bench", "--serving", "--sequential"])
-        assert args.sequential is True
-
-    def test_sequential_flag_reaches_bench_and_title(self, capsys, monkeypatch):
-        seen = {}
-
-        def spy(*, quick=False, seed=0, batched=True):
-            seen["batched"] = batched
-            payload = copy.deepcopy(self.payload)
-            payload["batched"] = batched
-            return payload
-
-        monkeypatch.setattr(
-            "repro.bench.serving_perf.run_serving_bench", spy
-        )
-        assert main(["bench", "--serving", "--quick", "--sequential"]) == 0
-        assert seen["batched"] is False
-        assert "sequential decode" in capsys.readouterr().out
+        # Decode is always fused; there is no sequential-decode baseline.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--serving", "--sequential"])
 
     def test_reports_curve_and_verification(self, capsys):
         assert main(["bench", "--serving", "--quick"]) == 0
@@ -411,7 +409,7 @@ class TestServingBenchCommand:
             p["tokens_per_s"] /= 100.0
         monkeypatch.setattr(
             "repro.bench.serving_perf.run_serving_bench",
-            lambda *, quick=False, seed=0, batched=True: slow,
+            lambda *, quick=False, seed=0: slow,
         )
         assert main(
             ["bench", "--serving", "--quick",

@@ -43,7 +43,7 @@ def main() -> None:
     q = AtomQuantizer(AtomConfig.paper_default())
     quant = q.quantize(model)
     perms = [
-        quant.linears[f"layers.0.experts.{e}.w_gate"].perm
+        quant.parts[f"layers.0.experts.{e}.w_gate"].perm
         for e in range(cfg.n_experts)
     ]
     shared = all(np.array_equal(perms[0], p) for p in perms[1:])

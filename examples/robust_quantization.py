@@ -110,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print("\n[3] comparing against an uninterrupted run:")
     ref = AtomQuantizer(cfg).quantize(model, calib_tokens=calib)
-    for name in ref.linears:
-        a, b = ref.linears[name], resumed.linears[name]
+    for name in ref.parts:
+        a, b = ref.parts[name], resumed.parts[name]
         for ca, cb in zip(a.weight.codes, b.weight.codes):
             assert np.array_equal(ca, cb), name
         for sa, sb in zip(a.weight.scales, b.weight.scales):

@@ -72,11 +72,27 @@ class DisassembledLinear(AtomLinear):
     def in_features(self) -> int:  # report pre-expansion width for validation
         return self._orig_in
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        expanded = x[:, self.col_map] * self.inv_mult
-        # Bypass AtomLinear's perm (None) and run its sliced quantized GEMM.
-        return AtomLinear.__call__(self, expanded)
+    def _prepare(self, x: np.ndarray) -> np.ndarray:
+        # AtomLinear's perm is None: expand, then run its sliced quantized
+        # GEMM on the disassembled channels.
+        return super()._prepare(x)[:, self.col_map] * self.inv_mult
+
+    def activation_signature(self) -> tuple:
+        return super().activation_signature() + (
+            self.col_map.tobytes(),
+            self.inv_mult.tobytes(),
+            self._orig_in,
+        )
+
+    def with_weight(self, weight) -> "DisassembledLinear":
+        return DisassembledLinear(
+            weight,
+            col_map=self.col_map,
+            inv_mult=self.inv_mult,
+            orig_in=self._orig_in,
+            a_bits=self.a_bits,
+            act_clip=self.act_clip,
+        )
 
 
 class QLLMLite:

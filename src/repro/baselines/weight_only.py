@@ -28,6 +28,13 @@ class DequantizedLinear(FloatLinear):
         super().__init__(dequantized_weight.astype(np.float32))
         self.w_bits = w_bits
 
+    def activation_signature(self) -> tuple:
+        return (self.w_bits,)
+
+    @classmethod
+    def fuse(cls, parts: "list[DequantizedLinear]") -> "DequantizedLinear":
+        return cls(np.concatenate([p.weight for p in parts]), parts[0].w_bits)
+
 
 class WeightOnlyGPTQ:
     """GPTQ weight-only quantizer (per-group scales, FP16 activations)."""

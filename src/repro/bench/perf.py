@@ -10,8 +10,8 @@ retained reference implementations (``fast=False`` / ``fast_path=False`` /
 
 Four benchmarks:
 
-``linear_forward``       one decode-shaped AtomLinear call (the per-token
-                         hot operator)
+``linear_forward``       one decode-shaped AtomLinear call on the fused
+                         q/k/v site (the per-token hot operator)
 ``prefill``              full-model prompt pass, no cache
 ``decode``               token-by-token generation with an incremental
                          KV-cache (the serving-critical path; reported in
@@ -205,8 +205,8 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
 
     benchmarks: dict[str, dict] = {}
 
-    # -- linear forward (decode-shaped: one token) ----------------------- #
-    lin = qmodel.linears["layers.0.wq"]
+    # -- linear forward (decode-shaped: one token; the fused q/k/v site) -- #
+    lin = qmodel.linears["layers.0.attn_in"]
     x1 = rng.normal(size=(1, cfg.dim))
 
     def bench_linear(fast: bool) -> float:

@@ -217,24 +217,12 @@ class AtomQuantizer:
         qmodel.replace_linears(mapping)
 
     @staticmethod
-    def _sites_from_capture(
-        captured: dict[str, np.ndarray]
+    def _of_layer(
+        site_acts: dict[str, np.ndarray], layer: int
     ) -> dict[str, np.ndarray]:
-        """Collapse per-linear captures to per-site activations (first wins)."""
-        sites: dict[str, np.ndarray] = {}
-        for linear_name, acts in captured.items():
-            site = input_site(linear_name)
-            if site not in sites:
-                sites[site] = acts
-        return sites
-
-    @classmethod
-    def _site_acts_for(
-        cls, model: LlamaModel, calib_tokens: np.ndarray, linears: list[str]
-    ) -> dict[str, np.ndarray]:
-        """Capture calibration activations for the given linears' sites."""
-        captured = model.capture_linear_inputs(calib_tokens, names=linears)
-        return cls._sites_from_capture(captured)
+        """The sites of decoder layer ``layer``."""
+        prefix = f"layers.{layer}."
+        return {s: a for s, a in site_acts.items() if s.startswith(prefix)}
 
     # ------------------------------------------------------------------ #
     # Checkpoint payloads
@@ -250,7 +238,7 @@ class AtomQuantizer:
         arrays: dict[str, np.ndarray] = {}
         meta_linears: dict[str, dict] = {}
         for name in linears:
-            lin = qmodel.linears[name]
+            lin = qmodel.parts[name]
             sw = lin.weight
             if lin.perm is not None:
                 arrays[f"{name}|perm"] = lin.perm
@@ -407,9 +395,7 @@ class AtomQuantizer:
         # already checkpointed.
         oneshot_acts: dict[str, np.ndarray] | None = None
         if mode == "one-shot" and done < len(layers) - 1:
-            oneshot_acts = self._site_acts_for(
-                model, calib_tokens, model.linear_names()
-            )
+            oneshot_acts = model.capture_site_inputs(calib_tokens)
 
         # Sequential-resume mode carries calibration hidden states forward;
         # resumed layers restore them from the checkpoint instead.
@@ -435,17 +421,15 @@ class AtomQuantizer:
                 # layer i on hidden states already advanced through quantized
                 # layers 0..i-1, then push the states through the freshly
                 # quantized layer i.  Two layer executions per layer => O(L).
-                captured = qmodel.capture_layer_inputs(x, layer, names=linears)
-                site_acts = self._sites_from_capture(captured)
+                site_acts = qmodel.capture_layer_site_inputs(x, layer)
             elif mode == "sequential-full":
                 # Reference O(L^2): calibrate each layer with a full forward
                 # of the partially quantized model.
-                site_acts = self._site_acts_for(qmodel, calib_tokens, linears)
+                site_acts = self._of_layer(
+                    qmodel.capture_site_inputs(calib_tokens), layer
+                )
             else:
-                prefix = f"layers.{layer}."
-                site_acts = {
-                    s: a for s, a in oneshot_acts.items() if s.startswith(prefix)
-                }
+                site_acts = self._of_layer(oneshot_acts, layer)
             self._quantize_layer(
                 model, qmodel, linears, site_acts, n_outlier, group_size
             )

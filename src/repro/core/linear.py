@@ -15,17 +15,21 @@
 Execution has two code paths:
 
 - The **fast path** (default, the software analog of Atom's fused kernel)
-  groups the slices into one bucket per activation-quantizer signature
-  ``(width, act_bits, fmt)``, plus one unquantized bucket for FP16
-  passthrough slices.  Each bucket quantizes all of its groups in a single
-  vectorized pass over a ``(tokens, groups, width)`` view and folds the
-  per-token group scale into the codes; every slice's weight scale is folded
-  into one precomputed ``(in_features, out)`` float64 block, so the folded
-  activations of all buckets contract in ONE GEMM per call.  Weight
-  bit-width never reaches the GEMM, so e.g. INT3 and INT4 weight tiers that
-  both run A4 share a bucket: an Atom linear (INT4 body + INT8 tail) and a
-  MixedBit linear (INT3/INT4 body + INT8 tier) each run two quantize passes
-  and one GEMM.  (A batched per-group integer MMA with a scale-outer-product
+  groups the slices into one bucket per activation-quantizer layout
+  ``(width, fmt)`` — ``(width, fmt, act_bits)`` for fp formats — plus one
+  unquantized bucket for FP16 passthrough slices.  Each bucket quantizes all
+  of its groups in a single vectorized pass over a ``(tokens, groups,
+  width)`` view, each group on its own bit-width's grid (per-group
+  ``qmin``/``qmax`` vectors, bit-identical to one pass per bit-width), and
+  folds the per-token group scale into the codes; every slice's weight scale
+  is folded into one precomputed ``(in_features, out)`` float64 block, so
+  the folded activations of all buckets contract in ONE GEMM per call.  An
+  Atom linear (INT4 body + INT8 tail) and a MixedBit linear (INT3/INT4 body
+  + INT8 tier) with equal-width groups each run one quantize pass and one
+  GEMM.  Linears sharing an input site are fused into one executor
+  (:meth:`AtomLinear.fuse` stacks their codes and scales along the output
+  axis), so one activation is reordered and quantized once for all of its
+  consumers.  (A batched per-group integer MMA with a scale-outer-product
   epilogue — the literal reading of Fig. 8 — was measured first: its
   ``(groups, tokens, out)`` partial tensor costs more memory traffic than
   the GEMM saves, and NumPy's batched matmul cannot fuse the epilogue the
@@ -65,29 +69,55 @@ def _dynamic_act_quant(
     """Per-token symmetric quantization of activation slices along ``axis``.
 
     Returns ``(codes, scale)`` with ``scale`` keeping a size-1 ``axis`` (for
-    the default 2-D per-slice call: shape ``(tokens, 1)``).  The same formula
-    vectorizes over a stacked ``(tokens, groups, width)`` tensor with
-    ``axis=2``.  ``fmt="mx"`` restricts scales to powers of two
-    (MX/microscaling, §6).
+    the default 2-D per-slice call: shape ``(tokens, 1)``).  ``fmt="mx"``
+    restricts scales to powers of two (MX/microscaling, §6).
     """
-    amax = np.abs(x).max(axis=axis, keepdims=True)
-    np.maximum(amax, 1e-12, out=amax)
     if fmt not in ("int", "mx"):
+        amax = np.abs(x).max(axis=axis, keepdims=True)
+        np.maximum(amax, 1e-12, out=amax)
         grid = _fp_grid(bits)
         scale = amax / grid.max_value * clip
         return grid.round(x / scale), scale
     f = IntFormat(bits)
+    return _int_act_quant(x, clip, fmt, f.n_levels - 1, f.qmin, f.qmax, axis)
+
+
+def _int_act_quant(x, clip, fmt, steps, qmin, qmax, axis):
+    """The int/mx body of :func:`_dynamic_act_quant` with the grid given as
+    ``steps = n_levels - 1``, ``qmin`` and ``qmax``.
+
+    Scalars quantize every slice on one grid; ``(1, groups, 1)`` vectors
+    over a stacked ``(tokens, groups, width)`` tensor (``axis=2``) give
+    each group its own grid in the same elementwise float operations, so a
+    mixed INT4/INT8 bucket yields the codes of per-bit-width passes.
+    """
+    amax = np.abs(x).max(axis=axis, keepdims=True)
+    np.maximum(amax, 1e-12, out=amax)
     if fmt == "int":
-        scale = 2.0 * amax / (f.n_levels - 1) * clip
+        scale = 2.0 * amax / steps * clip
     else:
-        scale = np.exp2(np.ceil(np.log2(clip * amax / f.qmax)))
+        scale = np.exp2(np.ceil(np.log2(clip * amax / qmax)))
     # np.clip(np.round(x / scale), qmin, qmax), rounded and clipped in place:
     # the same values with fewer temporaries and wrapper calls.
     codes = x / scale
     np.rint(codes, out=codes)
-    np.minimum(codes, f.qmax, out=codes)
-    np.maximum(codes, f.qmin, out=codes)
+    np.minimum(codes, qmax, out=codes)
+    np.maximum(codes, qmin, out=codes)
     return codes, scale
+
+
+def _int_grid(bits: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group ``(steps, qmin, qmax)`` of :func:`_int_act_quant`, each a
+    ``(1, groups, 1)`` vector."""
+    fs = [IntFormat(b) for b in bits]
+    return tuple(
+        np.array(vals, dtype=np.float64)[None, :, None]
+        for vals in (
+            [f.n_levels - 1 for f in fs],
+            [f.qmin for f in fs],
+            [f.qmax for f in fs],
+        )
+    )
 
 
 class AtomLinear(LinearImpl):
@@ -131,33 +161,43 @@ class AtomLinear(LinearImpl):
         return self.a_bits if not s.is_outlier else (s.bits or 8)
 
     def _build_fast_path(self) -> None:
-        """One bucket per activation-quantizer signature, one weight block.
+        """One bucket per activation-quantizer layout, one weight block.
 
-        Buckets are keyed on ``(width, act_bits, fmt)`` (``None`` for FP16
-        passthrough slices) in order of first appearance.  ``_buckets`` holds
-        ``(lo, hi, groups, signature)`` column ranges of the bucket-ordered
-        input; ``_cols`` is the gather into that order, ``None`` when it is
-        the identity (every bucket one ascending run, the usual layout).
+        int/mx slices bucket on ``(width, fmt)``: every group of a bucket is
+        quantized in one pass, each on its own bit-width's grid (per-group
+        ``steps``/``qmin``/``qmax`` vectors), so an INT4 body and an INT8
+        tail of equal width share one pass.  fp slices bucket on ``(width,
+        bits, fmt)`` (one value grid per pass); FP16 passthrough slices
+        share the ``None`` bucket.  Buckets are in order of first
+        appearance.  ``_buckets`` holds ``(lo, hi, groups, signature,
+        grid)`` column ranges of the bucket-ordered input; ``_cols`` is the
+        gather into that order, ``None`` when it is the identity (every
+        bucket one ascending run, the usual layout).
         """
         w = self.weight
-        members: dict[tuple[int, int, str] | None, list[int]] = {}
+        members: dict[tuple | None, list[int]] = {}
         for i, s in enumerate(w.slices):
-            sig = (
-                None
-                if w.scales[i] is None
-                else (s.width, self._act_bits(s), w.slice_fmt(s))
-            )
+            fmt = w.slice_fmt(s)
+            if w.scales[i] is None:
+                sig = None
+            elif fmt in ("int", "mx"):
+                sig = (s.width, fmt)
+            else:
+                sig = (s.width, fmt, self._act_bits(s))
             members.setdefault(sig, []).append(i)
         order = [i for idx in members.values() for i in idx]
         cols = np.concatenate(
             [np.arange(w.slices[i].start, w.slices[i].stop) for i in order]
         )
         self._cols = None if np.array_equal(cols, np.arange(self._in)) else cols
-        self._buckets: list[tuple[int, int, int, tuple[int, int, str] | None]] = []
+        self._buckets: list[tuple] = []
         lo = 0
         for sig, idx in members.items():
             hi = lo + sum(w.slices[i].width for i in idx)
-            self._buckets.append((lo, hi, len(idx), sig))
+            grid = None
+            if sig is not None and sig[1] in ("int", "mx"):
+                grid = _int_grid([self._act_bits(w.slices[i]) for i in idx])
+            self._buckets.append((lo, hi, len(idx), sig, grid))
             lo = hi
         # (in_features, out) block in bucket order: row r of slice i holds
         # codes[i][:, r] * scale[i] (raw weights for FP16 slices), so the
@@ -168,6 +208,50 @@ class AtomLinear(LinearImpl):
                 * (1.0 if w.scales[i] is None else w.scales[i][:, 0])
                 for i in order
             ]
+        )
+
+    # ------------------------------------------------------------------ #
+    # Site fusion
+    # ------------------------------------------------------------------ #
+    def activation_signature(self) -> tuple:
+        return (
+            None if self.perm is None else self.perm.tobytes(),
+            tuple(self.weight.slices),
+            tuple(scale is None for scale in self.weight.scales),
+            self.weight.fmt,
+            self.a_bits,
+            self.act_clip,
+            self.fmt,
+            self.fast,
+        )
+
+    def with_weight(self, weight: SlicedWeight) -> "AtomLinear":
+        """A linear of this class reading its input exactly like ``self``,
+        over another weight of the same slice layout."""
+        return AtomLinear(
+            weight,
+            perm=self.perm,
+            a_bits=self.a_bits,
+            act_clip=self.act_clip,
+            fmt=self.fmt,
+            fast=self.fast,
+        )
+
+    @classmethod
+    def fuse(cls, parts: "list[AtomLinear]") -> "AtomLinear":
+        """Stack the parts' per-slice codes and scales along the output
+        axis: the fused block is the column concatenation of theirs."""
+        head = parts[0].weight
+        return parts[0].with_weight(
+            SlicedWeight(
+                head.slices,
+                [np.concatenate(c) for c in zip(*(p.weight.codes for p in parts))],
+                [
+                    None if sc[0] is None else np.concatenate(sc)
+                    for sc in zip(*(p.weight.scales for p in parts))
+                ],
+                head.fmt,
+            )
         )
 
     @property
@@ -181,12 +265,15 @@ class AtomLinear(LinearImpl):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def _prepare(self, x: np.ndarray) -> np.ndarray:
+        """2-D float64 activations in the weight's (reordered) column order."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected 2-D activations, got shape {x.shape}")
-        if self.perm is not None:
-            x = x[:, self.perm]
+        return x if self.perm is None else x[:, self.perm]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = self._prepare(x)
         y = self._forward_fast(x) if self.fast else self._forward_reference(x)
         return y.astype(np.float32)
 
@@ -203,12 +290,7 @@ class AtomLinear(LinearImpl):
         """
         if not self.fast:
             return LinearImpl.forward_rowwise(self, x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(f"expected 2-D activations, got shape {x.shape}")
-        if self.perm is not None:
-            x = x[:, self.perm]
-        return self._forward_fast(x, rowwise=True).astype(np.float32)
+        return self._forward_fast(self._prepare(x), rowwise=True).astype(np.float32)
 
     def _forward_fast(self, x: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
         """Vectorized pipeline; float64 output (pre-cast)."""
@@ -220,13 +302,19 @@ class AtomLinear(LinearImpl):
         # row takes a different GEMM kernel than the same row alone, which
         # would break the forward_rowwise contract.
         qx = np.empty((n, self._in))
-        for lo, hi, groups, sig in self._buckets:
+        for lo, hi, groups, sig, grid in self._buckets:
             if sig is None:
                 qx[:, lo:hi] = xb[:, lo:hi]  # FP16 passthrough: no quantization
                 continue
-            width, bits, fmt = sig
-            xg = xb[:, lo:hi].reshape(n, groups, width)
-            codes, scale = _dynamic_act_quant(xg, bits, self.act_clip, fmt, axis=2)
+            xg = xb[:, lo:hi].reshape(n, groups, sig[0])
+            if grid is None:
+                codes, scale = _dynamic_act_quant(
+                    xg, sig[2], self.act_clip, sig[1], axis=2
+                )
+            else:
+                codes, scale = _int_act_quant(
+                    xg, self.act_clip, sig[1], *grid, axis=2
+                )
             # Fold the per-token group scale into the codes.
             qx[:, lo:hi] = (codes * scale).reshape(n, hi - lo)
         t1 = time.perf_counter()
@@ -301,4 +389,13 @@ class QuantLinear(AtomLinear):
             raise ValueError("QuantLinear does not support outlier slices")
         super().__init__(
             weight, perm=None, a_bits=a_bits, act_clip=act_clip, fmt=fmt, fast=fast
+        )
+
+    def with_weight(self, weight: SlicedWeight) -> "QuantLinear":
+        return QuantLinear(
+            weight,
+            a_bits=self.a_bits,
+            act_clip=self.act_clip,
+            fmt=self.fmt,
+            fast=self.fast,
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.llama import LlamaModel, input_site
+from repro.models.llama import LlamaModel
 
 __all__ = [
     "identify_outliers",
@@ -85,10 +85,4 @@ def calibration_activations(
     layers, all experts share them too — the paper's footnote 4), so we key
     on the site rather than the linear.
     """
-    captured = model.capture_linear_inputs(tokens)
-    sites: dict[str, np.ndarray] = {}
-    for linear_name, acts in captured.items():
-        site = input_site(linear_name)
-        if site not in sites:
-            sites[site] = acts
-    return sites
+    return model.capture_site_inputs(tokens)

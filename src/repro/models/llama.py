@@ -16,29 +16,41 @@ This is the substrate every quantization method in the repo plugs into:
   substitutes :class:`repro.serving.paged_kv.PagedKVCache` so one model
   definition runs over both dense and paged KV with identical numerics.
 
-The model also exposes :meth:`capture_linear_inputs`, which records the
-activation matrix entering every dense site during a forward pass — this is
-how calibration data is gathered for outlier identification (§5.1).  The
+The model also exposes :meth:`capture_site_inputs`, which records the
+activation matrix entering every input site (once per site) during a forward
+pass — this is how calibration data is gathered for outlier identification
+(§5.1); :meth:`capture_linear_inputs` is its per-linear view.  The
 layer-granular variants (:meth:`embed` / :meth:`forward_layer` /
-:meth:`capture_layer_inputs`) let sequential calibration resume from already
-computed hidden states instead of re-running the whole model per layer.
+:meth:`capture_layer_site_inputs`) let sequential calibration resume from
+already computed hidden states instead of re-running the whole model per
+layer.
 
 Incremental decoding uses a preallocated, geometrically grown
 :class:`KVCache` per layer (write-in-place + length cursor) and executes GQA
 with broadcastable views rather than ``np.repeat``-materialized K/V; setting
 ``fast_path=False`` restores the concatenate-per-step reference behavior.
 
-Quantizable sites and the activations they share (reordering is decided per
-*input site*, shared by all consumers of that activation):
+Linears that read the same activation run as ONE executor per input site:
+at install time their parts are fused along the output axis
+(:func:`fuse_site`), the forward pass calls the site once and splits the
+columns, so each activation is reordered and quantized once — Atom's
+"quantize in the producing operator" (§4.3).  ``model.linears`` maps each
+site to its executor; ``model.parts`` keeps the installed per-linear parts.
+Reordering and calibration are decided per *shared* site, which MoE experts
+also share:
 
-====================  =========================================
-input site            consumer linears
-====================  =========================================
-``attn_in``           ``wq``, ``wk``, ``wv``
-``attn_out``          ``wo``
-``ffn_in``            ``w_gate``, ``w_up`` (and every expert's in MoE)
-``ffn_hidden``        ``w_down`` (per expert in MoE)
-====================  =========================================
+============================  ========================  ==========================
+executor (``model.linears``)  parts                     shared (calibration) site
+============================  ========================  ==========================
+``layers.{i}.attn_in``        ``wq``, ``wk``, ``wv``    ``layers.{i}.attn_in``
+``layers.{i}.attn_out``       ``wo``                    ``layers.{i}.attn_out``
+``layers.{i}.ffn_in``         ``w_gate``, ``w_up``      ``layers.{i}.ffn_in``
+``layers.{i}.ffn_hidden``     ``w_down``                ``layers.{i}.ffn_hidden``
+============================  ========================  ==========================
+
+In MoE layers each expert has its own ``layers.{i}.experts.{e}.ffn_in`` and
+``.ffn_hidden`` executors, whose calibration activations pool into the
+layer's shared sites.
 
 The MoE router stays in FP16 — it is negligibly small, and the paper's MoE
 adaptation (footnote 4) shares reorder indices across experts, which we
@@ -61,33 +73,52 @@ __all__ = [
     "IdentityKVCodec",
     "KVCache",
     "LlamaModel",
+    "SiteFusionError",
+    "executor_site",
+    "fuse_site",
     "input_site",
     "rowwise_matmul",
     "sample_token",
 ]
 
-_ATTN_LINEARS = ("wq", "wk", "wv")
-_FFN_LINEARS = ("w_gate", "w_up")
+#: Input site each linear reads, by the linear's leaf name.
+_SITE_OF = {
+    "wq": "attn_in",
+    "wk": "attn_in",
+    "wv": "attn_in",
+    "wo": "attn_out",
+    "w_gate": "ffn_in",
+    "w_up": "ffn_in",
+    "w_down": "ffn_hidden",
+}
+
+
+def executor_site(linear_name: str) -> str:
+    """Map a linear's full name to the executor that runs it.
+
+    E.g. ``layers.3.wk -> layers.3.attn_in`` and
+    ``layers.2.experts.1.w_down -> layers.2.experts.1.ffn_hidden``.
+    """
+    prefix, _, leaf = linear_name.rpartition(".")
+    if leaf not in _SITE_OF:
+        raise ValueError(f"{linear_name!r} is not a quantizable linear")
+    return f"{prefix}.{_SITE_OF[leaf]}"
+
+
+def _shared_site(site: str) -> str:
+    """``layers.2.experts.1.ffn_in -> layers.2.ffn_in`` (identity if dense)."""
+    parts = site.split(".")
+    return f"{parts[0]}.{parts[1]}.{parts[-1]}"
 
 
 def input_site(linear_name: str) -> str:
     """Map a linear's full name to its shared activation-site key.
 
     E.g. ``layers.3.wk -> layers.3.attn_in`` and
-    ``layers.2.experts.1.w_down -> layers.2.ffn_hidden``.
+    ``layers.2.experts.1.w_down -> layers.2.ffn_hidden``: MoE experts share
+    their layer's sites (reordering and calibration are decided per site).
     """
-    parts = linear_name.split(".")
-    layer_prefix = ".".join(parts[:2])  # "layers.{i}"
-    leaf = parts[-1]
-    if leaf in _ATTN_LINEARS:
-        return f"{layer_prefix}.attn_in"
-    if leaf == "wo":
-        return f"{layer_prefix}.attn_out"
-    if leaf in _FFN_LINEARS:
-        return f"{layer_prefix}.ffn_in"
-    if leaf == "w_down":
-        return f"{layer_prefix}.ffn_hidden"
-    raise ValueError(f"{linear_name!r} is not a quantizable linear")
+    return _shared_site(executor_site(linear_name))
 
 
 def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,6 +133,10 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     request's accumulation order identical to its own B=1 execution.
     """
     return np.matmul(a[:, None, :], b)[:, 0]
+
+
+class SiteFusionError(ValueError):
+    """Linears sharing an input site read its activations differently."""
 
 
 class LinearImpl(abc.ABC):
@@ -122,6 +157,21 @@ class LinearImpl(abc.ABC):
         """
         return np.concatenate([self(x[i : i + 1]) for i in range(x.shape[0])])
 
+    def activation_signature(self) -> tuple:
+        """Everything that decides how this linear reads its input.
+
+        Linears of one class with equal signatures can be fused into one
+        executor (:meth:`fuse`); the input is then prepared once for all.
+        """
+        return ()
+
+    @classmethod
+    def fuse(cls, parts: "list[LinearImpl]") -> "LinearImpl":
+        """One ``cls`` instance whose output is the column concatenation of
+        ``parts``' outputs (same class and signature, checked by
+        :func:`fuse_site`)."""
+        raise NotImplementedError(f"{cls.__name__} cannot be fused")
+
     @property
     @abc.abstractmethod
     def out_features(self) -> int: ...
@@ -129,6 +179,27 @@ class LinearImpl(abc.ABC):
     @property
     @abc.abstractmethod
     def in_features(self) -> int: ...
+
+
+def fuse_site(site: str, parts: "dict[str, LinearImpl]") -> LinearImpl:
+    """The one executor of ``site``, built from its parts (by linear name).
+
+    A single part is its own executor.  Parts must share class and
+    :meth:`~LinearImpl.activation_signature`; otherwise this raises
+    :class:`SiteFusionError` naming the site and the disagreeing linear.
+    """
+    (head_name, head), *rest = parts.items()
+    for name, part in rest:
+        if (
+            type(part) is not type(head)
+            or part.activation_signature() != head.activation_signature()
+        ):
+            raise SiteFusionError(
+                f"cannot fuse site {site!r}: {name} ({type(part).__name__}) "
+                f"reads its input differently from {head_name} "
+                f"({type(head).__name__})"
+            )
+    return type(head).fuse(list(parts.values())) if rest else head
 
 
 class FloatLinear(LinearImpl):
@@ -144,6 +215,10 @@ class FloatLinear(LinearImpl):
 
     def forward_rowwise(self, x: np.ndarray) -> np.ndarray:
         return rowwise_matmul(x, self.weight.T)
+
+    @classmethod
+    def fuse(cls, parts: "list[FloatLinear]") -> "FloatLinear":
+        return cls(np.concatenate([p.weight for p in parts]))
 
     @property
     def out_features(self) -> int:
@@ -286,10 +361,25 @@ class LlamaModel:
         self._cos, self._sin = rope_tables(
             config.max_seq_len, config.head_dim, config.rope_theta
         )
-        self.linears: dict[str, LinearImpl] = {
+        #: Installed per-linear implementations, by linear name (what
+        #: :meth:`replace_linears` validates and checkpoints persist).
+        self.parts: dict[str, LinearImpl] = {
             name: FloatLinear(self.weights[name]) for name in self.linear_names()
         }
-        self._capture: dict[str, list[np.ndarray]] | None = None
+        self._members: dict[str, list[str]] = {}
+        for name in self.parts:
+            self._members.setdefault(executor_site(name), []).append(name)
+        #: Output column range of each part inside its site's executor.
+        self._splits: dict[str, list[tuple[int, int]]] = {}
+        for site, names in self._members.items():
+            bounds = np.cumsum([0] + [self.parts[n].out_features for n in names])
+            self._splits[site] = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        #: The executors that run, one per input site (see the module table).
+        self.linears: dict[str, LinearImpl] = {
+            site: fuse_site(site, {n: self.parts[n] for n in names})
+            for site, names in self._members.items()
+        }
+        self._capture: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -310,11 +400,16 @@ class LlamaModel:
         return names
 
     def replace_linears(self, mapping: dict[str, LinearImpl]) -> None:
-        """Swap in quantized linear implementations (validated shapes)."""
+        """Swap in quantized linear implementations (validated shapes) and
+        re-fuse every site they belong to.
+
+        Raises :class:`SiteFusionError` (leaving the model unchanged) when a
+        site's parts end up reading its input differently.
+        """
         for name, impl in mapping.items():
-            if name not in self.linears:
+            if name not in self.parts:
                 raise KeyError(f"unknown linear {name!r}")
-            old = self.linears[name]
+            old = self.parts[name]
             if (impl.in_features, impl.out_features) != (
                 old.in_features,
                 old.out_features,
@@ -324,7 +419,13 @@ class LlamaModel:
                     f"({impl.in_features},{impl.out_features}) vs "
                     f"({old.in_features},{old.out_features})"
                 )
-            self.linears[name] = impl
+        parts = {**self.parts, **mapping}
+        executors = {
+            site: fuse_site(site, {n: parts[n] for n in self._members[site]})
+            for site in dict.fromkeys(executor_site(n) for n in mapping)
+        }
+        self.parts = parts
+        self.linears.update(executors)
 
     def clone(self) -> "LlamaModel":
         """Fresh FP16 model sharing (copying) the same weights."""
@@ -338,16 +439,19 @@ class LlamaModel:
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def _linear(self, name: str, x2d: np.ndarray) -> np.ndarray:
-        if self._capture is not None:
-            self._capture.setdefault(name, []).append(x2d.copy())
-        return self.linears[name](x2d)
+    def _site(
+        self, site: str, x2d: np.ndarray, rowwise: bool = False
+    ) -> list[np.ndarray]:
+        """Run ``site``'s executor once; return its parts' column blocks.
 
-    def _linear_rowwise(self, name: str, x2d: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant linear: one row per independent sequence."""
+        ``rowwise=True`` selects the batch-size-invariant kernel (one row
+        per independent sequence, see :meth:`LinearImpl.forward_rowwise`).
+        """
         if self._capture is not None:
-            self._capture.setdefault(name, []).append(x2d.copy())
-        return self.linears[name].forward_rowwise(x2d)
+            self._capture[site] = x2d.copy()
+        lin = self.linears[site]
+        y = lin.forward_rowwise(x2d) if rowwise else lin(x2d)
+        return [y[:, lo:hi] for lo, hi in self._splits[site]]
 
     @staticmethod
     def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -373,11 +477,10 @@ class LlamaModel:
         b, t, _ = x.shape
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
-        lin = self._linear_rowwise if rowwise else self._linear
-        x2d = x.reshape(b * t, c.dim)
-        q = lin(f"{pre}.wq", x2d).reshape(b, t, h, hd).transpose(0, 2, 1, 3)
-        k = lin(f"{pre}.wk", x2d).reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
-        v = lin(f"{pre}.wv", x2d).reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
+        q, k, v = self._site(f"{pre}.attn_in", x.reshape(b * t, c.dim), rowwise)
+        q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+        k = k.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
+        v = v.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
         cos = self._cos[pos_offset : pos_offset + t]
         sin = self._sin[pos_offset : pos_offset + t]
         q = self._rope_apply(q, cos, sin)
@@ -405,8 +508,8 @@ class LlamaModel:
                     v = np.concatenate([v_prev, v], axis=2)
                 cache[key] = (k, v)
         out = self._attention_core(q, k, v, pos_offset=pos_offset, t=t, rowwise=rowwise)
-        lin = self._linear_rowwise if rowwise else self._linear
-        return lin(f"{pre}.wo", out.astype(np.float32)).reshape(b, t, c.dim)
+        (y,) = self._site(f"{pre}.attn_out", out.astype(np.float32), rowwise)
+        return y.reshape(b, t, c.dim)
 
     def _attention_core(
         self,
@@ -512,10 +615,10 @@ class LlamaModel:
         b = x.shape[0]
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
-        x2d = x.reshape(b, c.dim)
-        q = self._linear_rowwise(f"{pre}.wq", x2d).reshape(b, 1, h, hd).transpose(0, 2, 1, 3)
-        k = self._linear_rowwise(f"{pre}.wk", x2d).reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
-        v = self._linear_rowwise(f"{pre}.wv", x2d).reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
+        q, k, v = self._site(f"{pre}.attn_in", x.reshape(b, c.dim), rowwise=True)
+        q = q.reshape(b, 1, h, hd).transpose(0, 2, 1, 3)
+        k = k.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
+        v = v.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
         # Per-request RoPE tables, broadcast over (heads, t=1) like the
         # sequential path's (t, hd/2) tables broadcast over (b, heads).
         cos = self._cos[positions][:, None, None, :]
@@ -554,7 +657,8 @@ class LlamaModel:
             out[rows] = self._attention_core(
                 q[rows], kb, vb, pos_offset=pos, t=1
             ).astype(np.float32)
-        return self._linear_rowwise(f"{pre}.wo", out).reshape(b, 1, c.dim)
+        (y,) = self._site(f"{pre}.attn_out", out, rowwise=True)
+        return y.reshape(b, 1, c.dim)
 
     @staticmethod
     def _append_kv_batch(
@@ -580,17 +684,13 @@ class LlamaModel:
             for j, cache in enumerate(kv_caches)
         ]
 
-    def _dense_ffn(self, x2d: np.ndarray, prefix: str) -> np.ndarray:
-        gate = self._linear(f"{prefix}.w_gate", x2d)
-        up = self._linear(f"{prefix}.w_up", x2d)
+    def _dense_ffn(
+        self, x2d: np.ndarray, prefix: str, rowwise: bool = False
+    ) -> np.ndarray:
+        gate, up = self._site(f"{prefix}.ffn_in", x2d, rowwise)
         hidden = (gate / (1.0 + np.exp(-gate))) * up  # SiLU(gate) * up
-        return self._linear(f"{prefix}.w_down", hidden.astype(np.float32))
-
-    def _dense_ffn_rowwise(self, x2d: np.ndarray, prefix: str) -> np.ndarray:
-        gate = self._linear_rowwise(f"{prefix}.w_gate", x2d)
-        up = self._linear_rowwise(f"{prefix}.w_up", x2d)
-        hidden = (gate / (1.0 + np.exp(-gate))) * up  # SiLU(gate) * up
-        return self._linear_rowwise(f"{prefix}.w_down", hidden.astype(np.float32))
+        (y,) = self._site(f"{prefix}.ffn_hidden", hidden.astype(np.float32), rowwise)
+        return y
 
     @staticmethod
     def _topk_threshold(logits: np.ndarray, k: int) -> np.ndarray:
@@ -650,10 +750,8 @@ class LlamaModel:
         h2d = h.reshape(b * t, c.dim)
         if c.is_moe:
             ffn = self._moe_ffn(h2d, layer)
-        elif rowwise:
-            ffn = self._dense_ffn_rowwise(h2d, pre)
         else:
-            ffn = self._dense_ffn(h2d, pre)
+            ffn = self._dense_ffn(h2d, pre, rowwise)
         return x + ffn.reshape(b, t, c.dim)
 
     def embed(self, tokens: np.ndarray) -> np.ndarray:
@@ -768,7 +866,7 @@ class LlamaModel:
             hdn = self._rms_norm(x, self.weights[f"{pre}.attn_norm"], c.norm_eps)
             x = x + self._attention_batch(hdn, i, positions, caches)
             hdn = self._rms_norm(x, self.weights[f"{pre}.mlp_norm"], c.norm_eps)
-            ffn = self._dense_ffn_rowwise(hdn.reshape(b, c.dim), pre)
+            ffn = self._dense_ffn(hdn.reshape(b, c.dim), pre, rowwise=True)
             x = x + ffn.reshape(b, 1, c.dim)
         x = self._rms_norm(x, self.weights["final_norm"], c.norm_eps)
         return rowwise_matmul(x.reshape(b, c.dim), self.weights["lm_head"].T)
@@ -832,46 +930,77 @@ class LlamaModel:
             )[0, -1]
         return np.asarray(tokens, dtype=np.int64)
 
+    def _record_sites(self, run) -> dict[str, np.ndarray]:
+        """Call ``run()`` (one pass: every executor runs at most once)
+        recording each executor's input by site."""
+        self._capture = {}
+        try:
+            run()
+        finally:
+            captured, self._capture = self._capture, None
+        return captured
+
+    def _by_linear(
+        self, sites: dict[str, np.ndarray], names: list[str] | None
+    ) -> dict[str, np.ndarray]:
+        """Per-linear view of site records: every part of a site maps to
+        the same array object."""
+        out: dict[str, np.ndarray] = {}
+        for name in self.linear_names():
+            site = executor_site(name)
+            if site in sites and (names is None or name in names):
+                out[name] = sites[site]
+        return out
+
+    @staticmethod
+    def _pooled(sites: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Site records keyed by shared site; MoE experts' rows pool into
+        their layer's site (all rows the shared reorder will see)."""
+        pools: dict[str, list[np.ndarray]] = {}
+        for site, acts in sites.items():
+            pools.setdefault(_shared_site(site), []).append(acts)
+        return {
+            site: xs[0] if len(xs) == 1 else np.concatenate(xs)
+            for site, xs in pools.items()
+        }
+
+    def capture_site_inputs(self, tokens: np.ndarray) -> dict[str, np.ndarray]:
+        """Run a forward pass recording each shared site's input activation.
+
+        Returns ``{input_site: (rows, in_features)}`` (see
+        :func:`input_site`), the calibration data of outlier identification,
+        GPTQ Hessians and SmoothQuant statistics.
+        """
+        return self._pooled(self._record_sites(lambda: self.forward(tokens)))
+
+    def capture_layer_site_inputs(
+        self, x: np.ndarray, layer: int
+    ) -> dict[str, np.ndarray]:
+        """:meth:`capture_site_inputs` for ONE decoder layer run on hidden
+        states ``x`` (as produced by :meth:`embed` / :meth:`forward_layer`).
+
+        This is the O(L) sequential-calibration primitive: capturing layer
+        ``i`` costs one layer execution, not a full model forward.
+        """
+        return self._pooled(self._record_sites(lambda: self._layer_step(x, layer)))
+
     def capture_linear_inputs(
         self, tokens: np.ndarray, names: list[str] | None = None
     ) -> dict[str, np.ndarray]:
         """Run a forward pass recording the input activation of each linear.
 
         Returns ``{linear_name: (total_tokens, in_features)}`` stacked over
-        the batch.  Used for calibration (outlier identification, GPTQ
-        Hessians, SmoothQuant statistics).
+        the batch; linears fused into one site share one array.
         """
-        self._capture = {}
-        try:
-            self.forward(tokens)
-        finally:
-            captured, self._capture = self._capture, None
-        return self._collect_capture(captured, names)
+        return self._by_linear(
+            self._record_sites(lambda: self.forward(tokens)), names
+        )
 
     def capture_layer_inputs(
         self, x: np.ndarray, layer: int, names: list[str] | None = None
     ) -> dict[str, np.ndarray]:
-        """Record linear inputs of ONE decoder layer from hidden states ``x``.
-
-        Runs just layer ``layer`` on ``x`` (as produced by :meth:`embed` /
-        :meth:`forward_layer`), discarding the output.  This is the O(L)
-        sequential-calibration primitive: capturing layer ``i`` costs one
-        layer execution, not a full model forward.
-        """
-        self._capture = {}
-        try:
-            self._layer_step(x, layer)
-        finally:
-            captured, self._capture = self._capture, None
-        return self._collect_capture(captured, names)
-
-    @staticmethod
-    def _collect_capture(
-        captured: dict[str, list[np.ndarray]], names: list[str] | None
-    ) -> dict[str, np.ndarray]:
-        keep = set(names) if names is not None else None
-        return {
-            k: np.concatenate(v, axis=0)
-            for k, v in captured.items()
-            if keep is None or k in keep
-        }
+        """Record linear inputs of ONE decoder layer from hidden states ``x``
+        (per-linear view of :meth:`capture_layer_site_inputs`'s records)."""
+        return self._by_linear(
+            self._record_sites(lambda: self._layer_step(x, layer)), names
+        )

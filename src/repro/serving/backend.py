@@ -263,13 +263,12 @@ class NumericBackend(ExecutionBackend):
     simulated clock (deadlines, backoff, straggler scaling) behaves exactly
     as in analytic runs.
 
-    Bit-identity contract: with full (unchunked) prefill, the tokens of
-    every *finished* request equal per-request
-    ``LlamaModel.generate(prompt, decode_len)`` on the same model, because
-    the runner issues forward passes with identical shapes, positions, and
-    cache contents (see :mod:`repro.serving.model_runner` for the paged ==
-    dense equivalence argument).  Chunked prefill changes GEMM shapes and is
-    supported but excluded from the bit-identity guarantee.
+    Bit-identity contract: the tokens of every *finished* request equal
+    per-request ``LlamaModel.generate(prompt, decode_len)`` on the same
+    model, because the runner issues forward passes with identical
+    positions and cache contents through position-invariant (rowwise)
+    kernels (see :mod:`repro.serving.model_runner` for the paged == dense
+    equivalence argument).
     """
 
     name = "numeric"

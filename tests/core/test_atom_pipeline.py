@@ -102,8 +102,8 @@ class TestQuantizePipeline:
     def test_shared_permutation_across_site_consumers(self, model7b):
         q = AtomQuantizer(AtomConfig.paper_default())
         out = q.quantize(model7b)
-        wq = out.linears["layers.0.wq"]
-        wk = out.linears["layers.0.wk"]
+        wq = out.parts["layers.0.wq"]
+        wk = out.parts["layers.0.wk"]
         np.testing.assert_array_equal(wq.perm, wk.perm)
 
     def test_rtn_config_has_no_perm(self, model7b):
@@ -124,7 +124,7 @@ class TestQuantizePipeline:
         out = AtomQuantizer(AtomConfig.paper_default()).quantize(
             model7b, calib_tokens=calib
         )
-        assert isinstance(out.linears["layers.0.wq"], AtomLinear)
+        assert isinstance(out.parts["layers.0.wq"], AtomLinear)
 
     def test_w3a3_runs(self, model7b, tokens):
         cfg = AtomConfig.paper_default().with_(a_bits=3, w_bits=3, kv_bits=3)
@@ -141,8 +141,8 @@ class TestQuantizePipeline:
     def test_moe_quantization_shares_expert_perms(self, moe_model):
         q = AtomQuantizer(AtomConfig.paper_default())
         out = q.quantize(moe_model)
-        e0 = out.linears["layers.0.experts.0.w_gate"]
-        e3 = out.linears["layers.0.experts.3.w_gate"]
+        e0 = out.parts["layers.0.experts.0.w_gate"]
+        e3 = out.parts["layers.0.experts.3.w_gate"]
         np.testing.assert_array_equal(e0.perm, e3.perm)
 
     def test_moe_quantized_output_reasonable(self, moe_model):

@@ -72,9 +72,9 @@ class StageLog:
 
 
 def assert_models_bit_identical(a, b):
-    assert set(a.linears) == set(b.linears)
-    for name in a.linears:
-        la, lb = a.linears[name], b.linears[name]
+    assert set(a.parts) == set(b.parts)
+    for name in a.parts:
+        la, lb = a.parts[name], b.parts[name]
         if la.perm is None:
             assert lb.perm is None, name
         else:

@@ -161,13 +161,13 @@ class TestSequentialCalibration:
         q2 = AtomQuantizer(AtomConfig.paper_default().with_(sequential=True))
         m1, m2 = q1.quantize(model7b), q2.quantize(model7b)
         l0_same = np.array_equal(
-            m1.linears["layers.0.wq"].weight.codes[0],
-            m2.linears["layers.0.wq"].weight.codes[0],
+            m1.parts["layers.0.wq"].weight.codes[0],
+            m2.parts["layers.0.wq"].weight.codes[0],
         )
         assert l0_same
         l1_same = np.array_equal(
-            m1.linears["layers.1.wq"].weight.codes[0],
-            m2.linears["layers.1.wq"].weight.codes[0],
+            m1.parts["layers.1.wq"].weight.codes[0],
+            m2.parts["layers.1.wq"].weight.codes[0],
         )
         assert not l1_same
 

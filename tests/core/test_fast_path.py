@@ -138,12 +138,17 @@ class TestAtomLinearEquivalence:
         """One (in_features, out) float64 block holding every slice's
         scale-folded weight, and one bucket per activation signature."""
         atom = _atom_linear(rng, 68, n_outlier=4)  # 4 x 16 body groups
+        atom_eq = _atom_linear(rng, 80, n_outlier=16)  # tail as wide as a group
         mixed = _sliced_linear(rng, tier_slices(64, DEFAULT_TIERS, 8))
         fp16_tail = tier_slices(64, DEFAULT_TIERS, 8) + [GroupSlice(64, 68, None)]
         mixed_fp16 = _sliced_linear(rng, fp16_tail)
-        # A4 body + A8 tail; INT3 and INT4 tiers share the A4 bucket; the
-        # FP16 passthrough slices add one unquantized bucket.
-        for lin, n_buckets in ((atom, 2), (mixed, 2), (mixed_fp16, 3)):
+        # Equal-width int groups share one bucket whatever their activation
+        # bits (A4 body + A8 tail, INT3/INT4/INT8 tiers); a narrower A8 tail
+        # keeps its own, and FP16 passthrough slices add one unquantized
+        # bucket.
+        for lin, n_buckets in (
+            (atom, 2), (atom_eq, 1), (mixed, 1), (mixed_fp16, 2)
+        ):
             assert lin._w.shape == (lin.in_features, lin.out_features)
             assert lin._w.dtype == np.float64
             assert len(lin._buckets) == n_buckets
@@ -152,12 +157,12 @@ class TestAtomLinearEquivalence:
         assert mixed_fp16._buckets[-1][3] is None
 
     def test_mixedbit_tiers_ragged_noncontiguous(self, rng):
-        """Ragged groups in every tier; the width-8 A4 bucket spans both the
-        INT3 and INT4 tiers around a ragged INT3 group, so its columns are
-        not contiguous and the fast path gathers them."""
+        """Ragged groups in every tier; the width-8 bucket spans all three
+        tiers around ragged groups, so its columns are not contiguous and
+        the fast path gathers them."""
         lin = _sliced_linear(rng, tier_slices(100, DEFAULT_TIERS, 8))
         assert {s.width for s in lin.weight.slices} == {8, 6, 2, 4}
-        assert len(lin._buckets) == 5
+        assert len(lin._buckets) == 4
         assert lin._cols is not None
         np.testing.assert_array_equal(
             lin._w, lin.weight.dequantize().T[lin._cols]
@@ -432,7 +437,7 @@ class TestSequentialResume:
             model, calib_tokens=calib, sequential_resume=False
         )
         for name in model.linear_names():
-            a, b = q_fast.linears[name], q_ref.linears[name]
+            a, b = q_fast.parts[name], q_ref.parts[name]
             assert len(a.weight.codes) == len(b.weight.codes)
             for ca, cb in zip(a.weight.codes, b.weight.codes):
                 np.testing.assert_array_equal(ca, cb)

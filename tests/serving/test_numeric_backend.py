@@ -324,15 +324,21 @@ class TestPreemptionRecompute:
 
 
 class TestChunkedPrefill:
-    def test_chunked_prefill_completes_with_clean_accounting(self, fp_model):
-        """Chunked prefill is supported (not bit-identity-pinned: chunking
-        changes GEMM shapes); runs must still finish and free every page."""
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16])
+    @pytest.mark.parametrize(
+        "scheme, fixture", [("FP16", "fp_model"), ("Atom-W4A4", "atom_model")]
+    )
+    def test_chunked_prefill_completes_with_clean_accounting(
+        self, request, scheme, fixture, chunk
+    ):
+        """Chunked prefill runs the rowwise kernels at 1- to 16-row shapes;
+        tokens still equal ``generate`` and every page is freed."""
         engine = NumericBackend.engine_for(
-            fp_model,
-            SCHEMES["FP16"],
+            request.getfixturevalue(fixture),
+            SCHEMES[scheme],
             max_batch=4,
             admission="reserve",
-            prefill_chunk=5,
+            prefill_chunk=chunk,
         )
         reqs = _requests(4, prefill=17, decode=6)
         result = engine.run(reqs)
@@ -340,6 +346,7 @@ class TestChunkedPrefill:
         for r in reqs:
             toks = engine.backend.generated_tokens(r.request_id)
             assert len(toks) == r.prefill_len + r.decode_len
+        assert oracle_mismatches(engine, result, reqs) == []
         _assert_clean_accounting(engine)
 
 

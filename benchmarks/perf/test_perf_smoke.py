@@ -5,11 +5,13 @@ This is the benchmark the CI ``perf-smoke`` job runs (via ``repro bench
 here checks the harness mechanics and the claims encoded in the committed
 baseline, without asserting absolute wall times (machine-dependent):
 
-- the payload matches the ``atom-repro/bench-inference/v1`` schema;
-- the fast path is actually faster (loose >1.2x bound on this machine);
+- the payload matches the ``atom-repro/bench-inference/v1`` schema, one
+  wall time (``after_s``) per benchmark;
 - the regression gate trips in the right direction and only that direction;
 - the committed baseline records the >=5x decode-throughput improvement the
-  fast-path work claims.
+  vectorized engine made over the reference implementations that now live
+  in ``tests/core/reference.py`` (checked there by
+  ``tests/core/test_fast_path.py``).
 """
 
 from __future__ import annotations
@@ -44,15 +46,14 @@ class TestPayloadSchema:
         assert set(BENCHES) <= set(payload["benchmarks"])
         for name in BENCHES:
             b = payload["benchmarks"][name]
-            assert b["before_s"] > 0 and b["after_s"] > 0
-            assert b["speedup"] == pytest.approx(b["before_s"] / b["after_s"])
+            assert b["after_s"] > 0
+            assert not {"before_s", "speedup"} & set(b)
 
     def test_decode_throughput_fields(self, payload):
         d = payload["benchmarks"]["decode"]
         assert d["after_tokens_per_s"] == pytest.approx(
             d["decode_steps"] / d["after_s"]
         )
-        assert d["before_tokens_per_s"] < d["after_tokens_per_s"]
 
     def test_json_round_trip(self, payload, tmp_path):
         dest = tmp_path / "bench.json"
@@ -68,17 +69,7 @@ class TestPayloadSchema:
     def test_format_rows(self, payload):
         rows = format_rows(payload)
         assert [r[0] for r in rows] == list(payload["benchmarks"])
-        assert all(len(r) == 4 for r in rows)
-
-
-class TestFastPathWins:
-    def test_decode_speedup(self, payload):
-        # Loose machine-independent floor; the committed baseline carries
-        # the real >=5x claim.
-        assert payload["benchmarks"]["decode"]["speedup"] > 1.2
-
-    def test_linear_speedup(self, payload):
-        assert payload["benchmarks"]["linear_forward"]["speedup"] > 1.2
+        assert all(len(r) == 2 for r in rows)
 
 
 class TestRegressionGate:

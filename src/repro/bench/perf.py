@@ -1,12 +1,11 @@
-"""Microbenchmarks for the quantized-inference fast path (``repro bench``).
+"""Microbenchmarks of quantized inference (``repro bench``).
 
 Atom's headline claim is throughput: the fused kernels keep dequantization
-off the critical path.  This harness measures the NumPy engine's analog of
+off the critical path.  This harness times the NumPy engine's analog of
 that claim — the vectorized :class:`~repro.core.linear.AtomLinear` pipeline,
-the preallocated KV-cache, and the O(L) sequential calibration — against the
-retained reference implementations (``fast=False`` / ``fast_path=False`` /
-``sequential_resume=False``), and emits the repo's committed perf baseline
-``BENCH_inference.json``.
+the preallocated KV-cache, and the O(L) sequential calibration — and emits
+the repo's committed perf baseline ``BENCH_inference.json``.  Each benchmark
+records its best-of-N wall time as ``after_s``.
 
 Four benchmarks:
 
@@ -14,10 +13,10 @@ Four benchmarks:
                          q/k/v site (the per-token hot operator)
 ``prefill``              full-model prompt pass, no cache
 ``decode``               token-by-token generation with an incremental
-                         KV-cache (the serving-critical path; reported in
-                         tokens/s)
-``quantize_sequential``  sequential (layer-by-layer) calibration, resume
-                         vs full-forward-per-layer
+                         KV-cache (the serving-critical path; also reported
+                         as ``after_tokens_per_s``)
+``quantize_sequential``  sequential (layer-by-layer) calibration carrying
+                         hidden states forward
 
 The default model is a purpose-built dense GQA config with random weights —
 timing does not need trained checkpoints, so the harness never touches the
@@ -49,7 +48,6 @@ __all__ = [
     "BENCH_MODEL_CONFIG",
     "build_bench_model",
     "quantize_bench_model",
-    "set_fast",
     "run_perf_suite",
     "trace_decode",
     "check_regression",
@@ -129,14 +127,6 @@ def quantize_bench_model(
     return AtomQuantizer(cfg).quantize(model, calib_tokens=calib)
 
 
-def set_fast(model: LlamaModel, enabled: bool) -> None:
-    """Toggle every fast-path switch (model cache/GQA + AtomLinear GEMMs)."""
-    model.fast_path = enabled
-    for lin in model.linears.values():
-        if isinstance(lin, AtomLinear):
-            lin.fast = enabled
-
-
 def _attach_telemetry(model: LlamaModel, sink) -> None:
     for lin in model.linears.values():
         if isinstance(lin, AtomLinear):
@@ -176,17 +166,6 @@ def _decode_seconds(
     return time.perf_counter() - t0
 
 
-def _before_after(bench_fn, reps: int) -> dict:
-    """Run ``bench_fn(fast: bool) -> seconds`` both ways with repetitions."""
-    before = min(bench_fn(False) for _ in range(reps))
-    after = min(bench_fn(True) for _ in range(reps))
-    return {
-        "before_s": before,
-        "after_s": after,
-        "speedup": before / after if after > 0 else float("inf"),
-    }
-
-
 # --------------------------------------------------------------------------- #
 # Suite
 # --------------------------------------------------------------------------- #
@@ -208,14 +187,9 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
     # -- linear forward (decode-shaped: one token; the fused q/k/v site) -- #
     lin = qmodel.linears["layers.0.attn_in"]
     x1 = rng.normal(size=(1, cfg.dim))
-
-    def bench_linear(fast: bool) -> float:
-        lin.fast = fast
-        lin(x1)  # warm-up (builds lazy reference blocks on first use)
-        return _best(lambda: lin(x1), lin_reps)
-
+    lin(x1)  # warm-up
     benchmarks["linear_forward"] = {
-        **_before_after(bench_linear, 1),
+        "after_s": _best(lambda: lin(x1), lin_reps),
         "tokens": 1,
         "in_features": lin.in_features,
         "out_features": lin.out_features,
@@ -223,47 +197,32 @@ def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
 
     # -- prefill --------------------------------------------------------- #
     prompt = rng.integers(0, cfg.vocab_size, size=(1, prefill_len))
-
-    def bench_prefill(fast: bool) -> float:
-        set_fast(qmodel, fast)
-        return _best(lambda: qmodel.forward(prompt), reps)
-
     benchmarks["prefill"] = {
-        **_before_after(bench_prefill, 1),
+        "after_s": _best(lambda: qmodel.forward(prompt), reps),
         "tokens": prefill_len,
     }
 
     # -- decode ---------------------------------------------------------- #
     dec_prompt = rng.integers(0, cfg.vocab_size, size=(1, decode_prompt))
-
-    def bench_decode(fast: bool) -> float:
-        set_fast(qmodel, fast)
-        return _decode_seconds(qmodel, dec_prompt, decode_steps)
-
-    d = _before_after(bench_decode, reps)
-    d["before_tokens_per_s"] = decode_steps / d["before_s"]
-    d["after_tokens_per_s"] = decode_steps / d["after_s"]
-    d["prompt_tokens"] = decode_prompt
-    d["decode_steps"] = decode_steps
-    benchmarks["decode"] = d
-    set_fast(qmodel, True)
+    after = min(
+        _decode_seconds(qmodel, dec_prompt, decode_steps) for _ in range(reps)
+    )
+    benchmarks["decode"] = {
+        "after_s": after,
+        "after_tokens_per_s": decode_steps / after,
+        "prompt_tokens": decode_prompt,
+        "decode_steps": decode_steps,
+    }
 
     # -- sequential calibration ------------------------------------------ #
-    # RTN weights: the GPTQ solver costs the same in both calibration modes
-    # and would swamp the measurement; RTN isolates what resume actually
-    # changes — the number of calibration forward executions (O(L) carried
-    # hidden states vs a full forward per layer, O(L^2)).
+    # RTN weights: the GPTQ solver would swamp the calibration forward
+    # executions this measures (O(L) carried hidden states).
     calib = rng.integers(0, cfg.vocab_size, size=(2, 24) if quick else (4, 48))
     seq_cfg = AtomConfig.paper_default().with_(sequential=True, use_gptq=False)
-
-    def bench_quantize(fast: bool) -> float:
-        q = AtomQuantizer(seq_cfg)
-        t0 = time.perf_counter()
-        q.quantize(model, calib_tokens=calib, sequential_resume=fast)
-        return time.perf_counter() - t0
-
     benchmarks["quantize_sequential"] = {
-        **_before_after(bench_quantize, 1),
+        "after_s": _best(
+            lambda: AtomQuantizer(seq_cfg).quantize(model, calib_tokens=calib), 1
+        ),
         "layers": cfg.n_layers,
         "calib_tokens": int(calib.size),
     }
@@ -355,15 +314,8 @@ def read_bench_json(src: "str | Path") -> dict:
 
 
 def format_rows(payload: dict) -> list[list]:
-    """Table rows (bench, before, after, speedup) for the CLI."""
-    rows = []
-    for name, b in payload["benchmarks"].items():
-        rows.append(
-            [
-                name,
-                f"{b['before_s'] * 1e3:.2f} ms",
-                f"{b['after_s'] * 1e3:.2f} ms",
-                f"{b['speedup']:.1f}x",
-            ]
-        )
-    return rows
+    """Table rows (bench, wall time) for the CLI."""
+    return [
+        [name, f"{b['after_s'] * 1e3:.2f} ms"]
+        for name, b in payload["benchmarks"].items()
+    ]

@@ -10,7 +10,7 @@ Usage::
                                                  # real-model serving + oracle
     python -m repro trace --scheme FP16 -o t.jsonl   # serving event trace
     python -m repro trace --chaos 7 -o t.jsonl       # fault-injection trace
-    python -m repro bench -o BENCH_inference.json    # fast-path microbenchmarks
+    python -m repro bench -o BENCH_inference.json    # inference microbenchmarks
     python -m repro bench --serving --quick          # batched numeric decode
     python -m repro bench --pareto --quick           # scheme Pareto sweep
     python -m repro quantize --checkpoint-dir ckpt/  # crash-safe, resumable
@@ -638,17 +638,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = run_perf_suite(quick=args.quick)
     print(
         format_table(
-            ["benchmark", "before", "after", "speedup"],
+            ["benchmark", "wall time"],
             format_rows(payload),
-            title="quantized-inference fast path"
-            + (" (quick)" if args.quick else ""),
+            title="quantized inference" + (" (quick)" if args.quick else ""),
         )
     )
     d = payload["benchmarks"]["decode"]
-    print(
-        f"decode throughput: {d['before_tokens_per_s']:.1f} -> "
-        f"{d['after_tokens_per_s']:.1f} tokens/s"
-    )
+    print(f"decode throughput: {d['after_tokens_per_s']:.1f} tokens/s")
     if args.trace:
         from repro.serving import TraceRecorder
         from repro.serving.telemetry import summarize, write_jsonl
@@ -877,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="fast-path microbenchmarks (linear/prefill/decode/quantize)",
+        help="inference microbenchmarks (linear/prefill/decode/quantize)",
     )
     b.add_argument("--quick", action="store_true",
                    help="reduced reps/steps (CI smoke mode)")

@@ -18,12 +18,12 @@ of §5.1 on an inference :class:`~repro.models.llama.LlamaModel`:
 With ``config.sequential=True``, calibration proceeds layer by layer: layer
 ``i``'s outliers and Hessians are measured on activations produced by the
 ALREADY-QUANTIZED layers ``0..i-1`` (the GPTQ-paper protocol), which lets
-later layers compensate accumulated quantization drift.  The default
-implementation is O(L) in total layer executions: the calibration hidden
-states are carried forward through each freshly quantized layer
+later layers compensate accumulated quantization drift.  It is O(L) in total
+layer executions: the calibration hidden states are carried forward through
+each freshly quantized layer
 (:meth:`~repro.models.llama.LlamaModel.forward_layer`) instead of re-running
-the whole model per layer (``quantize(..., sequential_resume=False)`` keeps
-the O(L^2) full-forward reference; both produce bit-identical results).
+the whole model per layer (the O(L^2) full-forward reference, bit-identical, is
+the test oracle in ``tests/core/reference.py``).
 
 The returned model is a fresh clone; the input model is untouched.
 
@@ -340,17 +340,11 @@ class AtomQuantizer:
         model: LlamaModel,
         *,
         calib_tokens: np.ndarray | None = None,
-        sequential_resume: bool = True,
         checkpoint_dir: "str | None" = None,
         force_restart: bool = False,
         telemetry=None,
     ) -> LlamaModel:
         """Return a quantized clone of ``model``.
-
-        ``sequential_resume`` (sequential mode only) selects the O(L)
-        carried-hidden-state calibration; ``False`` re-runs a full forward
-        per layer (the O(L^2) reference — bit-identical, kept for the
-        equivalence suite and the perf harness's "before" measurement).
 
         ``checkpoint_dir`` enables crash-safe per-layer checkpointing: each
         quantized layer is persisted atomically, and a rerun with the same
@@ -372,16 +366,12 @@ class AtomQuantizer:
         by_layer = self._layer_linears(model)
         layers = sorted(by_layer)
 
-        if cfg.sequential and sequential_resume:
-            mode = "sequential-resume"
-        elif cfg.sequential:
-            mode = "sequential-full"
-        else:
-            mode = "one-shot"
-
         store = None
         done = -1
         if checkpoint_dir is not None:
+            # The mode string is part of the fingerprint: keep it byte for
+            # byte so existing checkpoint directories still resume.
+            mode = "sequential-resume" if cfg.sequential else "one-shot"
             fp = self._fingerprint(model, calib_tokens, n_outlier, group_size, mode)
             store = CheckpointStore(checkpoint_dir, fingerprint=fp)
             if force_restart:
@@ -394,19 +384,19 @@ class AtomQuantizer:
         # single forward pass; skip the capture entirely when every layer is
         # already checkpointed.
         oneshot_acts: dict[str, np.ndarray] | None = None
-        if mode == "one-shot" and done < len(layers) - 1:
+        if not cfg.sequential and done < len(layers) - 1:
             oneshot_acts = model.capture_site_inputs(calib_tokens)
 
-        # Sequential-resume mode carries calibration hidden states forward;
-        # resumed layers restore them from the checkpoint instead.
-        x = qmodel.embed(calib_tokens) if mode == "sequential-resume" else None
+        # Sequential mode carries calibration hidden states forward; resumed
+        # layers restore them from the checkpoint instead.
+        x = qmodel.embed(calib_tokens) if cfg.sequential else None
 
         for layer in layers:
             linears = by_layer[layer]
             if store is not None and layer <= done:
                 arrays, meta = store.load_layer(layer)
                 self._install_layer(qmodel, arrays, meta)
-                if mode == "sequential-resume":
+                if cfg.sequential:
                     if "hidden" not in arrays:
                         raise CheckpointError(
                             f"{store.layer_path(layer)}: no carried hidden "
@@ -416,32 +406,23 @@ class AtomQuantizer:
                 _stage(telemetry, "checkpoint_resume", layer, value=len(linears))
                 continue
             _stage(telemetry, "layer_start", layer, value=len(linears))
-            if mode == "sequential-resume":
+            if cfg.sequential:
                 # Layer-by-layer with activation-checkpoint resume: calibrate
                 # layer i on hidden states already advanced through quantized
                 # layers 0..i-1, then push the states through the freshly
                 # quantized layer i.  Two layer executions per layer => O(L).
                 site_acts = qmodel.capture_layer_site_inputs(x, layer)
-            elif mode == "sequential-full":
-                # Reference O(L^2): calibrate each layer with a full forward
-                # of the partially quantized model.
-                site_acts = self._of_layer(
-                    qmodel.capture_site_inputs(calib_tokens), layer
-                )
             else:
                 site_acts = self._of_layer(oneshot_acts, layer)
             self._quantize_layer(
                 model, qmodel, linears, site_acts, n_outlier, group_size
             )
-            if mode == "sequential-resume":
+            if cfg.sequential:
                 x = qmodel.forward_layer(x, layer)
             _stage(telemetry, "layer_quantized", layer, value=len(linears))
             if store is not None:
                 arrays, meta = self._layer_payload(
-                    qmodel,
-                    linears,
-                    list(site_acts),
-                    x if mode == "sequential-resume" else None,
+                    qmodel, linears, list(site_acts), x
                 )
                 store.save_layer(layer, arrays, meta)
                 _stage(telemetry, "checkpoint_saved", layer)

@@ -12,37 +12,32 @@
    MMA), then dequantize with the token-scale x weight-scale outer product and
    accumulate in float (the fused epilogue of Fig. 8).
 
-Execution has two code paths:
-
-- The **fast path** (default, the software analog of Atom's fused kernel)
-  groups the slices into one bucket per activation-quantizer layout
-  ``(width, fmt)`` — ``(width, fmt, act_bits)`` for fp formats — plus one
-  unquantized bucket for FP16 passthrough slices.  Each bucket quantizes all
-  of its groups in a single vectorized pass over a ``(tokens, groups,
-  width)`` view, each group on its own bit-width's grid (per-group
-  ``qmin``/``qmax`` vectors, bit-identical to one pass per bit-width), and
-  folds the per-token group scale into the codes; every slice's weight scale
-  is folded into one precomputed ``(in_features, out)`` float64 block, so
-  the folded activations of all buckets contract in ONE GEMM per call.  An
-  Atom linear (INT4 body + INT8 tail) and a MixedBit linear (INT3/INT4 body
-  + INT8 tier) with equal-width groups each run one quantize pass and one
-  GEMM.  Linears sharing an input site are fused into one executor
-  (:meth:`AtomLinear.fuse` stacks their codes and scales along the output
-  axis), so one activation is reordered and quantized once for all of its
-  consumers.  (A batched per-group integer MMA with a scale-outer-product
-  epilogue — the literal reading of Fig. 8 — was measured first: its
-  ``(groups, tokens, out)`` partial tensor costs more memory traffic than
-  the GEMM saves, and NumPy's batched matmul cannot fuse the epilogue the
-  way a real kernel does.  Folding both scales into the operands moves the
-  group reduction inside one BLAS call; the reassociation changes results by
-  ~1e-15 normed relative vs the slice loop.)
-- The **reference path** (``fast=False``) is the original per-slice Python
-  loop, kept as the equivalence oracle and the "before" baseline of the
-  ``repro bench`` microbenchmarks.
+Execution groups the slices into one bucket per activation-quantizer layout
+``(width, fmt)`` — ``(width, fmt, act_bits)`` for fp formats — plus one
+unquantized bucket for FP16 passthrough slices (the software analog of
+Atom's fused kernel).  Each bucket quantizes all of its groups in a single
+vectorized pass over a ``(tokens, groups, width)`` view, each group on its
+own bit-width's grid (per-group ``qmin``/``qmax`` vectors, bit-identical to
+one pass per bit-width), and folds the per-token group scale into the codes;
+every slice's weight scale is folded into one precomputed ``(in_features,
+out)`` float64 block, so the folded activations of all buckets contract in
+ONE GEMM per call.  An Atom linear (INT4 body + INT8 tail) and a MixedBit
+linear (INT3/INT4 body + INT8 tier) with equal-width groups each run one
+quantize pass and one GEMM.  Linears sharing an input site are fused into
+one executor (:meth:`AtomLinear.fuse` stacks their codes and scales along
+the output axis), so one activation is reordered and quantized once for all
+of its consumers.  (A batched per-group integer MMA with a
+scale-outer-product epilogue — the literal reading of Fig. 8 — was measured
+first: its ``(groups, tokens, out)`` partial tensor costs more memory
+traffic than the GEMM saves, and NumPy's batched matmul cannot fuse the
+epilogue the way a real kernel does.  Folding both scales into the operands
+moves the group reduction inside one BLAS call; the reassociation changes
+results by ~1e-15 normed relative vs a per-slice loop, the oracle in
+``tests/core/reference.py``.)
 
 When a telemetry sink (:mod:`repro.serving.telemetry`) is attached via the
-``telemetry`` attribute, the fast path emits one ``IterationSample`` per call
-with ``t_quant`` (dynamic quantization) and ``t_dense`` (GEMM + epilogue)
+``telemetry`` attribute, each call emits one ``IterationSample`` with
+``t_quant`` (dynamic quantization) and ``t_dense`` (GEMM + epilogue)
 wall-times, so existing trace tooling attributes quantize-vs-GEMM cost with
 no extra instrumentation.
 
@@ -132,16 +127,14 @@ class AtomLinear(LinearImpl):
         act_clip: float,
         fmt: str = "int",
         out_features: int | None = None,
-        fast: bool = True,
     ) -> None:
         self.weight = weight
         self.perm = None if perm is None else np.asarray(perm, dtype=np.int64)
         self.a_bits = a_bits
         self.act_clip = act_clip
         self.fmt = fmt
-        self.fast = fast
-        #: Optional telemetry sink; the fast path emits one IterationSample
-        #: per call with t_quant / t_dense when this is an enabled recorder.
+        #: Optional telemetry sink; each call emits one IterationSample
+        #: with t_quant / t_dense when this is an enabled recorder.
         self.telemetry = None
         self._out = (
             out_features if out_features is not None else weight.codes[0].shape[0]
@@ -149,18 +142,15 @@ class AtomLinear(LinearImpl):
         self._in = sum(s.width for s in weight.slices)
         if self.perm is not None and len(self.perm) != self._in:
             raise ValueError("permutation length != in_features")
-        # Legacy float64 transposed blocks, built lazily: only the reference
-        # path (equivalence oracle / "before" benchmarks) needs them.
-        self._wT_f64: list[np.ndarray] | None = None
-        self._build_fast_path()
+        self._build_layout()
 
     # ------------------------------------------------------------------ #
-    # Construction-time fast-path layout
+    # Construction-time bucket layout
     # ------------------------------------------------------------------ #
     def _act_bits(self, s: GroupSlice) -> int:
         return self.a_bits if not s.is_outlier else (s.bits or 8)
 
-    def _build_fast_path(self) -> None:
+    def _build_layout(self) -> None:
         """One bucket per activation-quantizer layout, one weight block.
 
         int/mx slices bucket on ``(width, fmt)``: every group of a bucket is
@@ -222,7 +212,6 @@ class AtomLinear(LinearImpl):
             self.a_bits,
             self.act_clip,
             self.fmt,
-            self.fast,
         )
 
     def with_weight(self, weight: SlicedWeight) -> "AtomLinear":
@@ -234,7 +223,6 @@ class AtomLinear(LinearImpl):
             a_bits=self.a_bits,
             act_clip=self.act_clip,
             fmt=self.fmt,
-            fast=self.fast,
         )
 
     @classmethod
@@ -273,9 +261,7 @@ class AtomLinear(LinearImpl):
         return x if self.perm is None else x[:, self.perm]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = self._prepare(x)
-        y = self._forward_fast(x) if self.fast else self._forward_reference(x)
-        return y.astype(np.float32)
+        return self._forward(self._prepare(x)).astype(np.float32)
 
     def forward_rowwise(self, x: np.ndarray) -> np.ndarray:
         """Batch-size-invariant forward: row ``i`` == ``self(x[i:i+1])[0]``.
@@ -284,15 +270,11 @@ class AtomLinear(LinearImpl):
         folding are already per-token — but the single GEMM contracts through
         :func:`~repro.models.llama.rowwise_matmul`, so each row keeps the
         accumulation order of its own single-row call regardless of how many
-        requests share the batch.  The reference path falls back to the
-        generic per-row loop (it is the frozen oracle; no need to thread the
-        flag through it).
+        requests share the batch.
         """
-        if not self.fast:
-            return LinearImpl.forward_rowwise(self, x)
-        return self._forward_fast(self._prepare(x), rowwise=True).astype(np.float32)
+        return self._forward(self._prepare(x), rowwise=True).astype(np.float32)
 
-    def _forward_fast(self, x: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
+    def _forward(self, x: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
         """Vectorized pipeline; float64 output (pre-cast)."""
         t0 = time.perf_counter()
         # ---- Phase 1: dynamic activation quantization, one pass per bucket #
@@ -328,30 +310,6 @@ class AtomLinear(LinearImpl):
             )
         return y
 
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        """Original per-slice loop (float64 output, pre-cast).
-
-        This is the equivalence oracle for the fast path and the "before"
-        measurement of the perf harness — keep it semantically frozen.
-        """
-        if self._wT_f64 is None:
-            self._wT_f64 = [
-                c.astype(np.float64).T.copy() for c in self.weight.codes
-            ]
-        y = np.zeros((x.shape[0], self._out), dtype=np.float64)
-        for s, w_t, ws in zip(self.weight.slices, self._wT_f64, self.weight.scales):
-            xs = x[:, s.start : s.stop]
-            if ws is None:
-                # FP16 slice: both operands stay high precision.
-                y += xs @ w_t
-                continue
-            bits = self.a_bits if not s.is_outlier else (s.bits or 8)
-            fmt = self.weight.slice_fmt(s)
-            codes, scale = _dynamic_act_quant(xs, bits, self.act_clip, fmt)
-            # Integer MMA + fused dequant-accumulate (Fig. 8 steps 1-3).
-            y += (codes @ w_t) * scale * ws.T
-        return y
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -383,19 +341,12 @@ class QuantLinear(AtomLinear):
         a_bits: int,
         act_clip: float = 1.0,
         fmt: str = "int",
-        fast: bool = True,
     ) -> None:
         if any(s.is_outlier for s in weight.slices):
             raise ValueError("QuantLinear does not support outlier slices")
-        super().__init__(
-            weight, perm=None, a_bits=a_bits, act_clip=act_clip, fmt=fmt, fast=fast
-        )
+        super().__init__(weight, perm=None, a_bits=a_bits, act_clip=act_clip, fmt=fmt)
 
     def with_weight(self, weight: SlicedWeight) -> "QuantLinear":
         return QuantLinear(
-            weight,
-            a_bits=self.a_bits,
-            act_clip=self.act_clip,
-            fmt=self.fmt,
-            fast=self.fast,
+            weight, a_bits=self.a_bits, act_clip=self.act_clip, fmt=self.fmt
         )

@@ -19,16 +19,14 @@ This is the substrate every quantization method in the repo plugs into:
 The model also exposes :meth:`capture_site_inputs`, which records the
 activation matrix entering every input site (once per site) during a forward
 pass — this is how calibration data is gathered for outlier identification
-(§5.1); :meth:`capture_linear_inputs` is its per-linear view.  The
-layer-granular variants (:meth:`embed` / :meth:`forward_layer` /
-:meth:`capture_layer_site_inputs`) let sequential calibration resume from
+(§5.1).  The layer-granular variants (:meth:`embed` / :meth:`forward_layer`
+/ :meth:`capture_layer_site_inputs`) let sequential calibration resume from
 already computed hidden states instead of re-running the whole model per
 layer.
 
 Incremental decoding uses a preallocated, geometrically grown
 :class:`KVCache` per layer (write-in-place + length cursor) and executes GQA
-with broadcastable views rather than ``np.repeat``-materialized K/V; setting
-``fast_path=False`` restores the concatenate-per-step reference behavior.
+with broadcastable views rather than ``np.repeat``-materialized K/V.
 
 Linears that read the same activation run as ONE executor per input site:
 at install time their parts are fused along the output axis
@@ -146,16 +144,14 @@ class LinearImpl(abc.ABC):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to a 2-D activation matrix ``(tokens, in_features)``."""
 
+    @abc.abstractmethod
     def forward_rowwise(self, x: np.ndarray) -> np.ndarray:
         """Apply with per-row accumulation order (batch-size-invariant).
 
         Row ``i`` of the result must be bit-identical to
-        ``self(x[i : i + 1])[0]`` for any number of rows.  The default
-        satisfies the contract by construction (a per-row loop);
-        implementations override it with a vectorized version built on
-        :func:`rowwise_matmul`.
+        ``self(x[i : i + 1])[0]`` for any number of rows, e.g. by
+        contracting through :func:`rowwise_matmul`.
         """
-        return np.concatenate([self(x[i : i + 1]) for i in range(x.shape[0])])
 
     def activation_signature(self) -> tuple:
         """Everything that decides how this linear reads its input.
@@ -342,19 +338,13 @@ class LlamaModel:
         weights: dict[str, np.ndarray],
         *,
         kv_codec: KVCodec | None = None,
-        fast_path: bool = True,
         kv_cache_factory=None,
     ) -> None:
         self.config = config
         self.weights = {k: np.asarray(v, dtype=np.float32) for k, v in weights.items()}
         self.kv_codec = kv_codec or IdentityKVCodec()
-        #: Fast-path execution toggles (preallocated KV-cache + broadcast GQA).
-        #: ``False`` restores concatenate-per-step caching and materialized
-        #: ``np.repeat`` GQA — the reference for equivalence tests and the
-        #: "before" measurement of the perf harness.
-        self.fast_path = fast_path
         #: Optional hook ``(batch, n_kv_heads, head_dim, capacity) -> cache``
-        #: deciding what backs a layer's incremental KV (fast path only).
+        #: deciding what backs a layer's incremental KV.
         #: ``None`` builds the dense preallocated :class:`KVCache`; the
         #: serving engine's numeric backend installs a paged factory.
         self.kv_cache_factory = kv_cache_factory
@@ -429,12 +419,7 @@ class LlamaModel:
 
     def clone(self) -> "LlamaModel":
         """Fresh FP16 model sharing (copying) the same weights."""
-        return LlamaModel(
-            self.config,
-            self.weights,
-            kv_codec=self.kv_codec,
-            fast_path=self.fast_path,
-        )
+        return LlamaModel(self.config, self.weights, kv_codec=self.kv_codec)
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -489,24 +474,10 @@ class LlamaModel:
         k = self.kv_codec.encode_decode(k, "k").astype(np.float32)
         v = self.kv_codec.encode_decode(v, "v").astype(np.float32)
         if cache is not None:
-            key = f"{pre}.kv"
-            if self.fast_path:
-                kv_cache = cache.get(key)
-                if kv_cache is None:
-                    if self.kv_cache_factory is not None:
-                        kv_cache = self.kv_cache_factory(b, kv, hd, t)
-                    else:
-                        kv_cache = KVCache(
-                            b, kv, hd, capacity=t, max_capacity=c.max_seq_len
-                        )
-                    cache[key] = kv_cache
-                k, v = kv_cache.append(k, v)
-            else:
-                if key in cache:
-                    k_prev, v_prev = cache[key]
-                    k = np.concatenate([k_prev, k], axis=2)
-                    v = np.concatenate([v_prev, v], axis=2)
-                cache[key] = (k, v)
+            kv_cache = cache.get(f"{pre}.kv")
+            if kv_cache is None:
+                kv_cache = cache[f"{pre}.kv"] = self._new_kv_cache(b, t)
+            k, v = kv_cache.append(k, v)
         out = self._attention_core(q, k, v, pos_offset=pos_offset, t=t, rowwise=rowwise)
         (y,) = self._site(f"{pre}.attn_out", out.astype(np.float32), rowwise)
         return y.reshape(b, t, c.dim)
@@ -542,11 +513,7 @@ class LlamaModel:
         c = self.config
         b = q.shape[0]
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
-        grouped = kv != h and self.fast_path
-        if kv != h and not self.fast_path:
-            g = h // kv
-            k = np.repeat(k, g, axis=1)
-            v = np.repeat(v, g, axis=1)
+        grouped = kv != h
         t_kv = k.shape[2]
         if grouped:
             # GQA without materializing repeated K/V: broadcast each KV head
@@ -632,13 +599,7 @@ class LlamaModel:
         for cache in caches:
             kv_cache = cache.get(key)
             if kv_cache is None:
-                if self.kv_cache_factory is not None:
-                    kv_cache = self.kv_cache_factory(1, kv, hd, 1)
-                else:
-                    kv_cache = KVCache(
-                        1, kv, hd, capacity=1, max_capacity=c.max_seq_len
-                    )
-                cache[key] = kv_cache
+                kv_cache = cache[key] = self._new_kv_cache(1, 1)
             kv_caches.append(kv_cache)
         gathered = self._append_kv_batch(kv_caches, k, v)
         # Ragged attention: bucket requests by (context length, position).
@@ -659,6 +620,19 @@ class LlamaModel:
             ).astype(np.float32)
         (y,) = self._site(f"{pre}.attn_out", out, rowwise=True)
         return y.reshape(b, 1, c.dim)
+
+    def _new_kv_cache(self, batch: int, capacity: int):
+        """A layer's incremental KV: ``kv_cache_factory``'s, else dense."""
+        c = self.config
+        if self.kv_cache_factory is not None:
+            return self.kv_cache_factory(batch, c.n_kv_heads, c.head_dim, capacity)
+        return KVCache(
+            batch,
+            c.n_kv_heads,
+            c.head_dim,
+            capacity=capacity,
+            max_capacity=c.max_seq_len,
+        )
 
     @staticmethod
     def _append_kv_batch(
@@ -840,11 +814,6 @@ class LlamaModel:
         :func:`rowwise_matmul` and :meth:`_attention_core`).
         """
         c = self.config
-        if not self.fast_path:
-            raise ValueError(
-                "forward_batch requires fast_path=True (the pluggable-cache "
-                "execution path)"
-            )
         if c.is_moe:
             raise ValueError("forward_batch covers dense models only")
         tokens = np.asarray(tokens, dtype=np.int64).ravel()
@@ -940,18 +909,6 @@ class LlamaModel:
             captured, self._capture = self._capture, None
         return captured
 
-    def _by_linear(
-        self, sites: dict[str, np.ndarray], names: list[str] | None
-    ) -> dict[str, np.ndarray]:
-        """Per-linear view of site records: every part of a site maps to
-        the same array object."""
-        out: dict[str, np.ndarray] = {}
-        for name in self.linear_names():
-            site = executor_site(name)
-            if site in sites and (names is None or name in names):
-                out[name] = sites[site]
-        return out
-
     @staticmethod
     def _pooled(sites: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Site records keyed by shared site; MoE experts' rows pool into
@@ -983,24 +940,3 @@ class LlamaModel:
         ``i`` costs one layer execution, not a full model forward.
         """
         return self._pooled(self._record_sites(lambda: self._layer_step(x, layer)))
-
-    def capture_linear_inputs(
-        self, tokens: np.ndarray, names: list[str] | None = None
-    ) -> dict[str, np.ndarray]:
-        """Run a forward pass recording the input activation of each linear.
-
-        Returns ``{linear_name: (total_tokens, in_features)}`` stacked over
-        the batch; linears fused into one site share one array.
-        """
-        return self._by_linear(
-            self._record_sites(lambda: self.forward(tokens)), names
-        )
-
-    def capture_layer_inputs(
-        self, x: np.ndarray, layer: int, names: list[str] | None = None
-    ) -> dict[str, np.ndarray]:
-        """Record linear inputs of ONE decoder layer from hidden states ``x``
-        (per-linear view of :meth:`capture_layer_site_inputs`'s records)."""
-        return self._by_linear(
-            self._record_sites(lambda: self._layer_step(x, layer)), names
-        )

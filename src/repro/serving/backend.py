@@ -317,17 +317,16 @@ class NumericBackend(ExecutionBackend):
         temperature: float = 0.0,
         seed: int = 0,
         prompts: str = "synthetic",
-        check_codec: bool = True,
         **engine_kwargs,
     ):
         """Build a :class:`ServingEngine` serving ``model`` numerically.
 
         Accepts any scheme from the :data:`~repro.serving.schemes.SCHEMES`
         registry; ``model`` is the already-prepared executable
-        (``scheme.quantize(model)`` builds one).  With ``check_codec``
-        (the default) the model's installed KV codec must agree with the
-        scheme's declared ``kv_bits`` — serving an FP16-KV model under a
-        4-bit-KV scheme would silently mis-account every paged-KV byte.
+        (``scheme.quantize(model)`` builds one).  The model's installed KV
+        codec must agree with the scheme's declared ``kv_bits`` — serving an
+        FP16-KV model under a 4-bit-KV scheme would silently mis-account
+        every paged-KV byte.
         Derives the :class:`ServingModelSpec` from the model config so the
         engine's page accounting matches the model's real KV shapes, and
         wires a fresh backend in.  ``engine_kwargs`` pass through to the
@@ -335,15 +334,13 @@ class NumericBackend(ExecutionBackend):
         """
         from repro.serving.engine import ServingEngine
 
-        if check_codec:
-            got = float(model.kv_codec.bits)
-            if got != float(scheme.kv_bits):
-                raise ValueError(
-                    f"model carries a {got:g}-bit KV codec but scheme "
-                    f"{scheme.name!r} declares kv_bits={scheme.kv_bits}; "
-                    f"build the model with scheme.quantize(...) or pass "
-                    f"check_codec=False"
-                )
+        got = float(model.kv_codec.bits)
+        if got != float(scheme.kv_bits):
+            raise ValueError(
+                f"model carries a {got:g}-bit KV codec but scheme "
+                f"{scheme.name!r} declares kv_bits={scheme.kv_bits}; "
+                f"build the model with scheme.quantize(...)"
+            )
         backend = cls(
             model,
             page_size=page_size,

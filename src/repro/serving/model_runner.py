@@ -129,11 +129,6 @@ class ModelRunner:
         store: PagedKVStore | None = None,
         prompts: str = "synthetic",
     ) -> None:
-        if not model.fast_path:
-            raise ValueError(
-                "ModelRunner requires fast_path=True (the pluggable-cache "
-                "execution path)"
-            )
         if model.config.is_moe:
             raise ValueError("numeric serving covers dense models only")
         if prompts not in ("synthetic", "conversation"):

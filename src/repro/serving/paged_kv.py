@@ -19,11 +19,12 @@ Three layers share the page machinery:
   its ``kv_cache_factory`` hook.
 
 Paged == dense equivalence: ``append`` writes the exact float32 values the
-dense cache would hold (after any codec round-trip), and ``gather``
-reassembles them in token order into one contiguous array.  Attention over
-the gathered array therefore consumes bit-identical operands to attention
-over the dense cache's views, which is what makes the numeric serving
-backend's tokens bit-identical to single-request ``LlamaModel.generate``.
+dense cache would hold (the model applies its KV codec before appending),
+and ``gather`` reassembles them in token order into one contiguous array.
+Attention over the gathered array therefore consumes bit-identical operands
+to attention over the dense cache's views, which is what makes the numeric
+serving backend's tokens bit-identical to single-request
+``LlamaModel.generate``.
 """
 
 from __future__ import annotations
@@ -404,13 +405,8 @@ class PagedKVCache:
     a model constructed with a ``kv_cache_factory`` returning these runs
     its attention over paged storage with no other change.
 
-    Codec-aware: when ``codec`` is given, appended K/V round-trip through
-    it (quantized page storage) before being written — pass ``None`` when
-    the model already applies its codec upstream (as
-    :class:`~repro.models.llama.LlamaModel` does), or a
-    :class:`~repro.models.llama.KVCodec` to quantize at the page boundary.
-    Either arrangement stores identical values, since the codec is a pure
-    elementwise round-trip applied exactly once.
+    Values are stored as given: :class:`~repro.models.llama.LlamaModel`
+    round-trips K/V through its codec before appending.
 
     Batch dimension must be 1: the serving engine schedules per-request
     caches (that is the point of paging).
@@ -424,18 +420,16 @@ class PagedKVCache:
     returns only owned pages to the store.
     """
 
-    __slots__ = ("store", "codec", "pages", "length", "n_borrowed", "_released")
+    __slots__ = ("store", "pages", "length", "n_borrowed", "_released")
 
     def __init__(
         self,
         store: PagedKVStore,
         *,
-        codec=None,
         borrowed_pages: "list[int] | None" = None,
         length: int = 0,
     ) -> None:
         self.store = store
-        self.codec = codec
         self.pages: list[int] = list(borrowed_pages or ())
         self.n_borrowed = len(self.pages)
         self.length = length
@@ -460,9 +454,6 @@ class PagedKVCache:
                 f"paged KV caches are per-request (batch 1), got batch "
                 f"{k_new.shape[0]}"
             )
-        if self.codec is not None:
-            k_new = self.codec.encode_decode(k_new, "k").astype(np.float32)
-            v_new = self.codec.encode_decode(v_new, "v").astype(np.float32)
         self._cow_tail()
         ps = self.store.page_size
         t = k_new.shape[2]
@@ -532,8 +523,7 @@ class PagedKVCache:
         loop, then every row lands in its (page, slot) through a single
         fancy-indexed store write.  Values written — and the gathered views
         returned — are exactly those of per-cache ``append`` calls; caches
-        on different stores or with page-boundary codecs take the
-        per-cache path.
+        on different stores take the per-cache path.
         """
         if k_new.shape[0] != len(caches) or k_new.shape[2] != 1:
             raise ValueError(
@@ -541,9 +531,7 @@ class PagedKVCache:
                 f"{k_new.shape} for {len(caches)} caches"
             )
         store = caches[0].store
-        if any(c.store is not store for c in caches) or any(
-            c.codec is not None for c in caches
-        ):
+        if any(c.store is not store for c in caches):
             return [
                 c.append(k_new[j : j + 1], v_new[j : j + 1])
                 for j, c in enumerate(caches)

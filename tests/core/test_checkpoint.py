@@ -38,6 +38,17 @@ TINY_CONFIG = dataclasses.replace(
     max_seq_len=64,
 )
 
+#: Checkpoint fingerprints of TINY_CONFIG quantized on ``calib`` with
+#: ``AtomConfig.paper_default()`` in each pipeline mode.
+PINNED_FINGERPRINTS = {
+    "one-shot": (
+        "b4ee879695cf3ced7a2969d0f20feebe1e3d9e515a25adde63346c6f3d330e96"
+    ),
+    "sequential-resume": (
+        "634930692682124e381d1e5c5437e873a4eab319a023e0f9daf2903cbd45c6cb"
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def tiny_model():
@@ -324,18 +335,38 @@ class TestKillAndResume:
             )
 
     def test_mode_change_rejected(self, tiny_model, calib, tmp_path):
+        """A one-shot checkpoint directory is rejected by a sequential run."""
         ckpt = tmp_path / "ckpt"
-        cfg = AtomConfig.paper_default().with_(sequential=True)
+        cfg = AtomConfig.paper_default()
+        assert not cfg.sequential
         AtomQuantizer(cfg).quantize(
             tiny_model, calib_tokens=calib, checkpoint_dir=ckpt
         )
         with pytest.raises(CheckpointError, match="fingerprint"):
-            AtomQuantizer(cfg).quantize(
-                tiny_model,
-                calib_tokens=calib,
-                checkpoint_dir=ckpt,
-                sequential_resume=False,
+            AtomQuantizer(cfg.with_(sequential=True)).quantize(
+                tiny_model, calib_tokens=calib, checkpoint_dir=ckpt
             )
+
+    @pytest.mark.parametrize(
+        "sequential, mode", [(False, "one-shot"), (True, "sequential-resume")]
+    )
+    def test_fingerprint_pinned(
+        self, tiny_model, calib, tmp_path, sequential, mode
+    ):
+        """The fingerprint of each pipeline mode is pinned: changing it
+        orphans every checkpoint directory already on disk."""
+        q = AtomQuantizer(AtomConfig.paper_default().with_(sequential=sequential))
+        want = PINNED_FINGERPRINTS[mode]
+        assert q._fingerprint(
+            tiny_model,
+            calib,
+            q._resolve_n_outlier(tiny_model),
+            q._resolve_group(tiny_model),
+            mode,
+        ) == want
+        ckpt = tmp_path / "ckpt"
+        q.quantize(tiny_model, calib_tokens=calib, checkpoint_dir=ckpt)
+        assert CheckpointStore(ckpt).read_manifest()["fingerprint"] == want
 
     def test_doctor_validates_fresh_checkpoint_dir(
         self, tiny_model, calib, tmp_path

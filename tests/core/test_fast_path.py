@@ -1,20 +1,23 @@
-"""Equivalence gate for the vectorized inference fast path.
+"""Equivalence gate for the vectorized inference engine.
 
-Every optimization introduced by the execution engine — the flat-GEMM
-AtomLinear kernel, the preallocated KV-cache with broadcast GQA, the O(L)
+Every optimization of the execution engine — the flat-GEMM AtomLinear
+kernel, the preallocated KV-cache with broadcast GQA, the O(L)
 resume-from-checkpoint sequential calibration, the argpartition MoE router —
-keeps a reference implementation in-tree (``fast=False`` /
-``fast_path=False`` / ``sequential_resume=False`` / ``np.sort``).  This
-suite pins the fast paths to those references:
+is pinned to a straightforward reference: the oracles in
+``tests/core/reference.py`` (slice loop, concatenating cache, ``np.repeat``
+GQA, full-forward-per-layer calibration) and ``np.sort`` for the router:
 
 - AtomLinear float64 internals agree to <= 1e-10 normed relative across
   formats, ragged widths, outlier-tail sizes, FP16 tails, MixedBit tiers and
   random slice layouts, and ``forward_rowwise`` row ``i`` is bit-equal to
   the single-row call;
 - model forward/decode outputs agree between the preallocated cache +
-  broadcast GQA and the concatenate + np.repeat legacy path;
+  broadcast GQA and the concatenating cache + ``np.repeat`` reference;
 - sequential calibration produces bit-identical codes either way;
 - the router selects the identical expert set.
+
+Every model-level test asserts that the reference actually ran (call
+counters, cache types), so it never compares the engine with itself.
 """
 
 from __future__ import annotations
@@ -32,6 +35,14 @@ from repro.core.linear import AtomLinear
 from repro.models.config import ModelConfig
 from repro.models.llama import KVCache, LlamaModel
 from repro.serving.telemetry import IterationSample, TraceRecorder, summarize
+from reference import (  # tests/core/reference.py (pytest adds this dir to sys.path)
+    ConcatKVCache,
+    SliceLoopLinear,
+    quantize_sequential_full,
+    reference_model,
+    repeat_gqa_attention,
+    slice_loop_forward,
+)
 
 RTOL = 1e-10
 
@@ -66,28 +77,25 @@ def _atom_linear(rng, k, *, n_outlier=4, group_size=16, a_bits=4, fmt="int",
 
 
 def _assert_paths_agree(lin, x, rtol=RTOL):
-    """Compare the float64 internals of both paths on identical input."""
+    """Compare the float64 internals with the slice loop on identical input."""
     xr = np.asarray(x, dtype=np.float64)
     if lin.perm is not None:
         xr = xr[:, lin.perm]
-    fast = lin._forward_fast(xr)
-    ref = lin._forward_reference(xr)
+    fast = lin._forward(xr)
+    ref = slice_loop_forward(lin, xr)
     denom = np.linalg.norm(ref)
     assert np.linalg.norm(fast - ref) <= rtol * max(denom, 1e-300)
     # Public float32 outputs must agree too (looser: float32 resolution).
-    lin.fast = True
-    y_fast = lin(x)
-    lin.fast = False
-    y_ref = lin(x)
-    lin.fast = True
-    np.testing.assert_allclose(y_fast, y_ref, rtol=1e-5, atol=1e-6)
+    oracle = SliceLoopLinear(lin)
+    np.testing.assert_allclose(lin(x), oracle(x), rtol=1e-5, atol=1e-6)
+    assert oracle.calls == 1
     # Batch-size invariance: row i of the batched call is bit-equal to the
     # single-row call, in the float64 internals (where a flat multi-row GEMM
     # would already differ) and in the public float32 output.
-    rows64 = lin._forward_fast(xr, rowwise=True)
+    rows64 = lin._forward(xr, rowwise=True)
     rows = lin.forward_rowwise(x)
     for i in range(len(x)):
-        np.testing.assert_array_equal(rows64[i], lin._forward_fast(xr[i : i + 1])[0])
+        np.testing.assert_array_equal(rows64[i], lin._forward(xr[i : i + 1])[0])
         np.testing.assert_array_equal(rows[i], lin(x[i : i + 1])[0])
 
 
@@ -159,7 +167,7 @@ class TestAtomLinearEquivalence:
     def test_mixedbit_tiers_ragged_noncontiguous(self, rng):
         """Ragged groups in every tier; the width-8 bucket spans all three
         tiers around ragged groups, so its columns are not contiguous and
-        the fast path gathers them."""
+        the kernel gathers them."""
         lin = _sliced_linear(rng, tier_slices(100, DEFAULT_TIERS, 8))
         assert {s.width for s in lin.weight.slices} == {8, 6, 2, 4}
         assert len(lin._buckets) == 4
@@ -314,29 +322,43 @@ MOE = ModelConfig("fp-moe", dim=32, n_layers=2, n_heads=4, n_kv_heads=4,
                   ffn_dim=64, n_experts=4, top_k=2)
 
 
-def _legacy(model: LlamaModel) -> LlamaModel:
-    ref = model.clone()
-    ref.fast_path = False
-    for lin in ref.linears.values():
-        if isinstance(lin, AtomLinear):
-            lin.fast = False
-    return ref
+class TestReferenceAttention:
+    @pytest.mark.parametrize("cfg", [DENSE, GQA], ids=lambda c: c.name)
+    @pytest.mark.parametrize("rowwise", [False, True])
+    @pytest.mark.parametrize("t, pos_offset", [(1, 0), (1, 9), (6, 0), (4, 5)])
+    def test_matches_attention_core(self, cfg, rowwise, t, pos_offset, rng):
+        model = _rand_model(cfg)
+        hd = cfg.head_dim
+        q = rng.normal(size=(2, cfg.n_heads, t, hd)).astype(np.float32)
+        k = rng.normal(size=(2, cfg.n_kv_heads, pos_offset + t, hd)).astype(
+            np.float32
+        )
+        v = rng.normal(size=k.shape).astype(np.float32)
+        np.testing.assert_allclose(
+            model._attention_core(q, k, v, pos_offset=pos_offset, t=t,
+                                  rowwise=rowwise),
+            repeat_gqa_attention(q, k, v, pos_offset=pos_offset,
+                                 rowwise=rowwise),
+            rtol=1e-5,
+            atol=1e-6,
+        )
 
 
 class TestModelEquivalence:
     @pytest.mark.parametrize("cfg", [DENSE, GQA, MOE], ids=lambda c: c.name)
     def test_forward_matches_legacy(self, cfg, rng):
         model = _rand_model(cfg)
-        ref = _legacy(model)
+        ref = reference_model(model)
         tokens = rng.integers(0, cfg.vocab_size, size=(2, 12))
         np.testing.assert_allclose(
             model.forward(tokens), ref.forward(tokens), rtol=1e-5, atol=1e-6
         )
+        assert ref.attention_calls == cfg.n_layers
 
     @pytest.mark.parametrize("cfg", [DENSE, GQA], ids=lambda c: c.name)
     def test_incremental_decode_matches_legacy(self, cfg, rng):
         model = _rand_model(cfg)
-        ref = _legacy(model)
+        ref = reference_model(model)
         prompt = rng.integers(0, cfg.vocab_size, size=(1, 6))
         fast_cache: dict = {}
         ref_cache: dict = {}
@@ -348,18 +370,23 @@ class TestModelEquivalence:
             y_fast = model.forward(tok, pos_offset=6 + step, cache=fast_cache)
             y_ref = ref.forward(tok, pos_offset=6 + step, cache=ref_cache)
             np.testing.assert_allclose(y_fast, y_ref, rtol=1e-5, atol=1e-6)
-        # The fast path actually used preallocated caches.
-        assert any(isinstance(v, KVCache) for v in fast_cache.values())
-        assert not any(isinstance(v, KVCache) for v in ref_cache.values())
+        # The engine used preallocated caches, the reference concatenating
+        # ones and its own attention.
+        assert all(isinstance(v, KVCache) for v in fast_cache.values())
+        assert all(isinstance(v, ConcatKVCache) for v in ref_cache.values())
+        assert len(ref_cache) == cfg.n_layers
+        assert ref.attention_calls == 6 * cfg.n_layers
 
     @pytest.mark.parametrize("cfg", [GQA, MOE], ids=lambda c: c.name)
     def test_generate_matches_legacy(self, cfg, rng):
         model = _rand_model(cfg)
-        ref = _legacy(model)
+        ref = reference_model(model)
         prompt = rng.integers(0, cfg.vocab_size, size=(1, 4))
         out_fast = model.generate(prompt, 8)
         out_ref = ref.generate(prompt, 8)
         np.testing.assert_array_equal(out_fast, out_ref)
+        # One prompt pass and 8 decode steps per layer.
+        assert ref.attention_calls == 9 * cfg.n_layers
 
     def test_quantized_model_decode_matches_legacy(self, rng):
         # Token-id equality would be too strict here: the flat GEMM
@@ -370,24 +397,22 @@ class TestModelEquivalence:
         quant = AtomQuantizer(AtomConfig.paper_default()).quantize(
             model, calib_tokens=calib
         )
+        ref = reference_model(quant)
+        assert all(isinstance(lin, SliceLoopLinear) for lin in ref.linears.values())
         prompt = rng.integers(0, GQA.vocab_size, size=(1, 5))
         steps = [rng.integers(0, GQA.vocab_size, size=(1, 1)) for _ in range(5)]
 
-        def run(fast: bool) -> list[np.ndarray]:
-            # clone() rebuilds an FP16 model, so toggle the one quantized
-            # instance between modes instead of cloning it.
-            quant.fast_path = fast
-            for lin in quant.linears.values():
-                if isinstance(lin, AtomLinear):
-                    lin.fast = fast
+        def run(m: LlamaModel) -> list[np.ndarray]:
             cache: dict = {}
-            outs = [quant.forward(prompt, cache=cache)]
+            outs = [m.forward(prompt, cache=cache)]
             for i, tok in enumerate(steps):
-                outs.append(quant.forward(tok, pos_offset=5 + i, cache=cache))
+                outs.append(m.forward(tok, pos_offset=5 + i, cache=cache))
             return outs
 
-        for y_fast, y_ref in zip(run(True), run(False)):
+        for y_fast, y_ref in zip(run(quant), run(ref)):
             np.testing.assert_allclose(y_fast, y_ref, rtol=1e-4, atol=1e-5)
+        assert all(lin.calls == 6 for lin in ref.linears.values())
+        assert ref.attention_calls == 6 * GQA.n_layers
 
 
 class TestRouterTopK:
@@ -416,8 +441,8 @@ class TestRouterTopK:
 
     def test_moe_forward_unchanged_by_argpartition(self, rng):
         # End to end: the selected expert mix must equal the sort-based one,
-        # which test_forward_matches_legacy already pins against fast_path
-        # toggles; here we pin the threshold values themselves.
+        # which test_forward_matches_legacy already pins against the
+        # reference model; here we pin the threshold values themselves.
         model = _rand_model(MOE)
         x = rng.normal(size=(10, MOE.dim)).astype(np.float32)
         h = x @ model.weights["layers.0.router"].T
@@ -430,12 +455,8 @@ class TestSequentialResume:
         model = _rand_model(GQA, seed=3)
         calib = rng.integers(0, GQA.vocab_size, size=(2, 16))
         cfg = AtomConfig.paper_default().with_(sequential=True)
-        q_fast = AtomQuantizer(cfg).quantize(
-            model, calib_tokens=calib, sequential_resume=True
-        )
-        q_ref = AtomQuantizer(cfg).quantize(
-            model, calib_tokens=calib, sequential_resume=False
-        )
+        q_fast = AtomQuantizer(cfg).quantize(model, calib_tokens=calib)
+        q_ref = quantize_sequential_full(AtomQuantizer(cfg), model, calib)
         for name in model.linear_names():
             a, b = q_fast.parts[name], q_ref.parts[name]
             assert len(a.weight.codes) == len(b.weight.codes)
@@ -455,12 +476,8 @@ class TestSequentialResume:
         model = _rand_model(DENSE, seed=5)
         calib = rng.integers(0, DENSE.vocab_size, size=(2, 12))
         cfg = AtomConfig.paper_default().with_(sequential=True)
-        q_fast = AtomQuantizer(cfg).quantize(
-            model, calib_tokens=calib, sequential_resume=True
-        )
-        q_ref = AtomQuantizer(cfg).quantize(
-            model, calib_tokens=calib, sequential_resume=False
-        )
+        q_fast = AtomQuantizer(cfg).quantize(model, calib_tokens=calib)
+        q_ref = quantize_sequential_full(AtomQuantizer(cfg), model, calib)
         tokens = rng.integers(0, DENSE.vocab_size, size=(1, 10))
         np.testing.assert_array_equal(
             q_fast.forward(tokens), q_ref.forward(tokens)

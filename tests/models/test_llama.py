@@ -158,24 +158,25 @@ class TestLinearManagement:
 class TestCapture:
     def test_capture_shapes(self, toy, tokens):
         cfg, _, infer = toy
-        acts = infer.capture_linear_inputs(tokens)
+        acts = infer.capture_site_inputs(tokens)
         n_tok = tokens.size
-        assert acts["layers.0.wq"].shape == (n_tok, cfg.dim)
-        assert acts["layers.0.w_down"].shape == (n_tok, cfg.ffn_dim)
+        assert acts[input_site("layers.0.wq")].shape == (n_tok, cfg.dim)
+        assert acts[input_site("layers.0.w_down")].shape == (n_tok, cfg.ffn_dim)
 
     def test_qkv_capture_identical(self, toy, tokens):
-        _, _, infer = toy
-        acts = infer.capture_linear_inputs(tokens)
-        np.testing.assert_array_equal(acts["layers.0.wq"], acts["layers.0.wk"])
-
-    def test_capture_filter(self, toy, tokens):
-        _, _, infer = toy
-        acts = infer.capture_linear_inputs(tokens, names=["layers.0.wq"])
-        assert list(acts) == ["layers.0.wq"]
+        """wq/wk/wv read one record: the normed embedding entering layer 0."""
+        cfg, _, infer = toy
+        acts = infer.capture_site_inputs(tokens)
+        site = input_site("layers.0.wq")
+        assert input_site("layers.0.wk") == input_site("layers.0.wv") == site
+        normed = infer._rms_norm(
+            infer.embed(tokens), infer.weights["layers.0.attn_norm"], cfg.norm_eps
+        )
+        np.testing.assert_array_equal(acts[site], normed.reshape(-1, cfg.dim))
 
     def test_capture_resets_after_use(self, toy, tokens):
         _, _, infer = toy
-        infer.capture_linear_inputs(tokens)
+        infer.capture_site_inputs(tokens)
         assert infer._capture is None
 
 

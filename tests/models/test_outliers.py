@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.config import get_config
-from repro.models.llama import LlamaModel
+from repro.models.llama import LlamaModel, input_site
 from repro.models.net import TrainableLlama
 from repro.models.outliers import channel_scale_vector, inject_outlier_channels
 
@@ -82,23 +82,22 @@ class TestInjectedPhenomenon:
         """Fig. 5(a): a few channels orders larger than the rest."""
         cfg, _, injected = setup
         model = LlamaModel(cfg, injected)
-        acts = model.capture_linear_inputs(tokens)
-        mags = np.abs(acts["layers.0.wq"]).mean(axis=0)
+        x = model.capture_site_inputs(tokens)[input_site("layers.0.wq")]
+        mags = np.abs(x).mean(axis=0)
         assert mags.max() / np.median(mags) > 10.0
 
     def test_pristine_model_has_no_outliers(self, setup, tokens):
         cfg, weights, _ = setup
         model = LlamaModel(cfg, weights)
-        acts = model.capture_linear_inputs(tokens)
-        mags = np.abs(acts["layers.0.wq"]).mean(axis=0)
+        x = model.capture_site_inputs(tokens)[input_site("layers.0.wq")]
+        mags = np.abs(x).mean(axis=0)
         assert mags.max() / np.median(mags) < 10.0
 
     def test_v_cache_milder_than_activations(self, setup, tokens):
         """Fig. 9: the V cache shows far fewer outliers than dense inputs."""
         cfg, _, injected = setup
         model = LlamaModel(cfg, injected)
-        acts = model.capture_linear_inputs(tokens)
-        x = acts["layers.0.wq"]
+        x = model.capture_site_inputs(tokens)[input_site("layers.0.wq")]
         v = x @ model.weights["layers.0.wv"].T  # V-cache contents
         act_ratio = np.abs(x).mean(axis=0).max() / np.median(np.abs(x).mean(axis=0))
         v_ratio = np.abs(v).mean(axis=0).max() / np.median(np.abs(v).mean(axis=0))
@@ -114,8 +113,9 @@ class TestInjectedPhenomenon:
         cfg, weights, _ = setup
         strong = inject_outlier_channels(cfg, weights, magnitude=200.0, seed=1)
         weak = inject_outlier_channels(cfg, weights, magnitude=10.0, seed=1)
-        ms = LlamaModel(cfg, strong).capture_linear_inputs(tokens)
-        mw = LlamaModel(cfg, weak).capture_linear_inputs(tokens)
-        r_strong = np.abs(ms["layers.0.wq"]).max()
-        r_weak = np.abs(mw["layers.0.wq"]).max()
+        site = input_site("layers.0.wq")
+        xs = LlamaModel(cfg, strong).capture_site_inputs(tokens)[site]
+        xw = LlamaModel(cfg, weak).capture_site_inputs(tokens)[site]
+        r_strong = np.abs(xs).max()
+        r_weak = np.abs(xw).max()
         assert r_strong > r_weak

@@ -117,30 +117,17 @@ class TestForwardRowwise:
             x = rng.standard_normal((6, lin.in_features)).astype(np.float32)
             self._check(lin, x)
 
-    def test_atom_linear_reference_fallback(self, atom_model):
-        """``fast=False`` routes through the generic per-row loop and still
-        matches the reference path row-for-row."""
-        name, lin = next(iter(atom_model.linears.items()))
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((5, lin.in_features)).astype(np.float32)
-        fast = lin.fast
-        lin.fast = False
-        try:
-            self._check(lin, x)
-        finally:
-            lin.fast = fast
-
 
 # --------------------------------------------------------------------- #
 # Paged KV batched ops == sequential ops
 # --------------------------------------------------------------------- #
 class TestPagedBatchOps:
-    def _ragged_caches(self, store, lengths, *, seed=0, codec=None):
+    def _ragged_caches(self, store, lengths, *, seed=0):
         """Caches pre-filled to ragged lengths via sequential appends."""
         rng = np.random.default_rng(seed)
         caches = []
         for n in lengths:
-            c = PagedKVCache(store, codec=codec)
+            c = PagedKVCache(store)
             for _ in range(n):
                 k = rng.standard_normal(
                     (1, store.n_kv_heads, 1, store.head_dim)
@@ -194,26 +181,6 @@ class TestPagedBatchOps:
             wk, wv = c.gather()
             np.testing.assert_array_equal(got[j][0], wk)
             np.testing.assert_array_equal(got[j][1], wv)
-
-    def test_codec_caches_take_per_cache_fallback(self, atom_model):
-        """Page-boundary codecs quantize per append — the batched fast path
-        skips them, so codec caches must fall back and stay identical."""
-        codec = atom_model.kv_codec
-        store_a = PagedKVStore(2, 32, page_size=4)
-        store_b = PagedKVStore(2, 32, page_size=4)
-        batched = self._ragged_caches(store_a, [2, 5], seed=5, codec=codec)
-        sequential = self._ragged_caches(store_b, [2, 5], seed=5, codec=codec)
-        rng = np.random.default_rng(6)
-        k = rng.standard_normal((2, 2, 1, 32)).astype(np.float32)
-        v = rng.standard_normal((2, 2, 1, 32)).astype(np.float32)
-        got = PagedKVCache.append_batch(batched, k, v)
-        want = [
-            c.append(k[j : j + 1], v[j : j + 1])
-            for j, c in enumerate(sequential)
-        ]
-        for (gk, gv), (wk, wv) in zip(got, want):
-            np.testing.assert_array_equal(gk, wk)
-            np.testing.assert_array_equal(gv, wv)
 
     def test_mixed_stores_take_per_cache_fallback(self):
         store_a = PagedKVStore(2, 8, page_size=4)
@@ -283,10 +250,6 @@ class TestForwardBatch:
             )
         with pytest.raises(ValueError, match="dense"):
             moe_model.forward_batch(np.asarray([1]), np.asarray([0]), [{}])
-        slow = build_bench_model(CONFIG, seed=0)
-        slow.fast_path = False
-        with pytest.raises(ValueError, match="fast_path"):
-            slow.forward_batch(np.asarray([1]), np.asarray([0]), [{}])
 
 
 # --------------------------------------------------------------------- #

@@ -372,12 +372,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="max_seq_len"):
             backend.on_admit(too_long)
 
-    def test_runner_rejects_slow_path_models(self):
-        slow = build_bench_model(NUMERIC_TEST_CONFIG, seed=0)
-        slow.fast_path = False
-        with pytest.raises(ValueError, match="fast_path"):
-            ModelRunner(slow)
-
     def test_runner_rejects_moe_models(self, moe_model):
         with pytest.raises(ValueError, match="dense"):
             ModelRunner(moe_model)

@@ -272,7 +272,6 @@ class TestPropertyBased:
 # --------------------------------------------------------------------------- #
 # Physical page store + per-request paged caches (numeric serving backend)
 # --------------------------------------------------------------------------- #
-from repro.core import AtomKVCodec  # noqa: E402
 from repro.models.llama import KVCache  # noqa: E402
 from repro.serving.paged_kv import PagedKVCache, PagedKVStore  # noqa: E402
 
@@ -374,24 +373,6 @@ class TestPagedKVCache:
         total = sum(chunk_sizes)
         assert paged.length == dense.length == total
         assert len(paged.pages) == -(-total // page_size)  # ceil division
-
-    def test_codec_round_trip_matches_dense_cache(self):
-        """Quantizing at the page boundary stores exactly what a dense cache
-        holding codec'd values stores: the codec is one pure round-trip."""
-        codec = AtomKVCodec(4)
-        store = PagedKVStore(4, 8, page_size=4)
-        paged = PagedKVCache(store, codec=codec)
-        dense = KVCache(1, 4, 8, capacity=1)
-        rng = np.random.default_rng(7)
-        for t in (6, 1, 5):  # ragged: pages end mid-chunk and mid-page
-            k, v = _kv_chunk(rng, 4, t, 8)
-            pk, pv = paged.append(k, v)
-            dk, dv = dense.append(
-                codec.encode_decode(k, "k").astype(np.float32),
-                codec.encode_decode(v, "v").astype(np.float32),
-            )
-            np.testing.assert_array_equal(pk, dk)
-            np.testing.assert_array_equal(pv, dv)
 
 
 class TestKVCacheFactoryHook:

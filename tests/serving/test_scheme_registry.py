@@ -191,9 +191,3 @@ class TestNumericExecutability:
         # mispaired run; the guard catches it at construction.
         with pytest.raises(ValueError, match="KV codec"):
             NumericBackend.engine_for(model7b, ATOM_W4A4, max_batch=2)
-
-    def test_engine_for_check_codec_opt_out(self, model7b):
-        engine = NumericBackend.engine_for(
-            model7b, ATOM_W4A4, max_batch=2, check_codec=False
-        )
-        assert engine.backend is not None

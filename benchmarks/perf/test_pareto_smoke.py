@@ -3,28 +3,25 @@
 Companion to ``test_perf_smoke.py`` for ``repro bench --pareto`` (the
 accuracy-vs-throughput sweep over the scheme registry).  The regression
 gate is structural — dominance facts and the FP16 accuracy anchor — so a
-quick CI run checks cleanly against the committed full-mode baseline; only
-the per-scheme numeric-throughput clause touches wall-clock, with generous
-slack.
+run checks cleanly against the committed baseline; only the per-scheme
+numeric-throughput clause touches wall-clock, with generous slack.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
 from pathlib import Path
 
 import pytest
 
+from repro.bench import payload as bench_io
 from repro.bench.pareto import (
     PARETO_BENCH_SCHEMA,
     check_pareto_regression,
     format_pareto_rows,
     pareto_front,
-    read_pareto_bench_json,
     run_pareto_bench,
-    write_pareto_bench_json,
 )
 
 BASELINE = Path(__file__).parent / "BENCH_pareto.json"
@@ -32,13 +29,12 @@ BASELINE = Path(__file__).parent / "BENCH_pareto.json"
 
 @pytest.fixture(scope="module")
 def payload() -> dict:
-    return run_pareto_bench(quick=True)
+    return run_pareto_bench()
 
 
 class TestPayloadSchema:
     def test_schema_and_rows(self, payload):
         assert payload["schema"] == PARETO_BENCH_SCHEMA
-        assert payload["quick"] is True
         names = [r["scheme"] for r in payload["schemes"]]
         assert {"FP16", "W4A16", "W8A8", "Atom-W4A4", "W4A8KV4",
                 "MixedBit"} <= set(names)
@@ -47,6 +43,7 @@ class TestPayloadSchema:
             assert math.isfinite(r["ppl"]) and r["ppl"] > 1.0
             assert r["roofline_tokens_per_s"] > 0
             assert r["numeric_tokens_per_s"] > 0
+            assert r["numeric_tokens_per_s_iqr"] >= 0
 
     def test_front_members_are_not_dominated(self, payload):
         rows = {r["scheme"]: r for r in payload["schemes"]}
@@ -61,17 +58,6 @@ class TestPayloadSchema:
                     > a["roofline_tokens_per_s"]
                 )
                 assert not strictly_better
-
-    def test_json_round_trip(self, payload, tmp_path):
-        dest = tmp_path / "pareto.json"
-        write_pareto_bench_json(payload, dest)
-        assert read_pareto_bench_json(dest) == payload
-
-    def test_read_rejects_wrong_schema(self, tmp_path):
-        dest = tmp_path / "bad.json"
-        dest.write_text(json.dumps({"schema": "other/v0", "schemes": []}))
-        with pytest.raises(ValueError, match="schema"):
-            read_pareto_bench_json(dest)
 
     def test_format_rows_star_the_front(self, payload):
         rows = format_pareto_rows(payload)
@@ -126,9 +112,8 @@ class TestRegressionGate:
 
 
 class TestCommittedBaseline:
-    def test_baseline_full_mode_and_verified(self):
-        base = read_pareto_bench_json(BASELINE)
-        assert base["quick"] is False
+    def test_baseline_verified(self):
+        base = bench_io.read(BASELINE, PARETO_BENCH_SCHEMA)
         assert all(r["verified_bit_identical"] for r in base["schemes"])
         assert {"FP16", "W4A16", "W8A8", "Atom-W4A4", "W4A8KV4",
                 "MixedBit"} <= {r["scheme"] for r in base["schemes"]}
@@ -136,7 +121,7 @@ class TestCommittedBaseline:
     def test_baseline_encodes_the_paper_dominance(self):
         """Atom beats W8A8 on modeled throughput and W4A16 on memory —
         the design-space claim the committed artifact pins."""
-        base = read_pareto_bench_json(BASELINE)
+        base = bench_io.read(BASELINE, PARETO_BENCH_SCHEMA)
         rows = {r["scheme"]: r for r in base["schemes"]}
         atom, w8a8, w4a16 = rows["Atom-W4A4"], rows["W8A8"], rows["W4A16"]
         assert atom["roofline_tokens_per_s"] > w8a8["roofline_tokens_per_s"]
@@ -144,8 +129,8 @@ class TestCommittedBaseline:
         assert atom["kv_bytes_per_token"] < w4a16["kv_bytes_per_token"]
         assert "Atom-W4A4" in base["pareto_front"]
 
-    def test_quick_run_gates_cleanly_against_baseline(self, payload):
-        """The exact CI invocation: quick sweep vs committed full baseline
+    def test_run_gates_cleanly_against_baseline(self, payload):
+        """The exact CI invocation: the sweep vs the committed baseline
         (wide wall-clock slack — shared runners are noisy)."""
-        base = read_pareto_bench_json(BASELINE)
+        base = bench_io.read(BASELINE, PARETO_BENCH_SCHEMA)
         assert check_pareto_regression(payload, base, max_slowdown=10.0) == []

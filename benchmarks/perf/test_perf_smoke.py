@@ -1,12 +1,12 @@
-"""Perf-smoke: run the quick microbenchmark suite and sanity-check it.
+"""Perf-smoke: run the microbenchmark suite and sanity-check it.
 
 This is the benchmark the CI ``perf-smoke`` job runs (via ``repro bench
---quick --check-against benchmarks/perf/BENCH_inference.json``).  The test
+--check-against benchmarks/perf/BENCH_inference.json``).  The test
 here checks the harness mechanics and the claims encoded in the committed
 baseline, without asserting absolute wall times (machine-dependent):
 
 - the payload matches the ``atom-repro/bench-inference/v1`` schema, one
-  wall time (``after_s``) per benchmark;
+  median wall time (``after_s``) and its IQR per benchmark;
 - the regression gate trips in the right direction and only that direction;
 - the committed baseline records the >=5x decode-throughput improvement the
   vectorized engine made over the reference implementations that now live
@@ -21,13 +21,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import payload as bench_io
 from repro.bench.perf import (
     BENCH_SCHEMA,
+    DECODE_PROMPT,
+    DECODE_STEPS,
     check_regression,
     format_rows,
-    read_bench_json,
     run_perf_suite,
-    write_bench_json,
 )
 
 BASELINE = Path(__file__).parent / "BENCH_inference.json"
@@ -36,17 +37,16 @@ BENCHES = ("linear_forward", "prefill", "decode", "quantize_sequential")
 
 @pytest.fixture(scope="module")
 def payload() -> dict:
-    return run_perf_suite(quick=True)
+    return run_perf_suite()
 
 
 class TestPayloadSchema:
     def test_schema_and_sections(self, payload):
         assert payload["schema"] == BENCH_SCHEMA
-        assert payload["quick"] is True
         assert set(BENCHES) <= set(payload["benchmarks"])
         for name in BENCHES:
             b = payload["benchmarks"][name]
-            assert b["after_s"] > 0
+            assert b["after_s"] > 0 and b["after_s_iqr"] >= 0
             assert not {"before_s", "speedup"} & set(b)
 
     def test_decode_throughput_fields(self, payload):
@@ -54,17 +54,6 @@ class TestPayloadSchema:
         assert d["after_tokens_per_s"] == pytest.approx(
             d["decode_steps"] / d["after_s"]
         )
-
-    def test_json_round_trip(self, payload, tmp_path):
-        dest = tmp_path / "bench.json"
-        write_bench_json(payload, dest)
-        assert read_bench_json(dest) == payload
-
-    def test_read_rejects_wrong_schema(self, tmp_path):
-        dest = tmp_path / "bad.json"
-        dest.write_text(json.dumps({"schema": "other/v0", "benchmarks": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            read_bench_json(dest)
 
     def test_format_rows(self, payload):
         rows = format_rows(payload)
@@ -99,11 +88,14 @@ class TestRegressionGate:
 
 
 class TestCommittedBaseline:
-    def test_baseline_valid_and_full_mode(self):
-        base = read_bench_json(BASELINE)
-        assert base["quick"] is False
+    def test_baseline_measures_the_same_workload(self):
+        base = bench_io.read(BASELINE, BENCH_SCHEMA)
         assert set(BENCHES) <= set(base["benchmarks"])
+        decode = base["benchmarks"]["decode"]
+        assert (decode["prompt_tokens"], decode["decode_steps"]) == (
+            DECODE_PROMPT, DECODE_STEPS
+        )
 
     def test_baseline_records_5x_decode_claim(self):
-        base = read_bench_json(BASELINE)
+        base = bench_io.read(BASELINE, BENCH_SCHEMA)
         assert base["benchmarks"]["decode"]["speedup"] >= 5.0

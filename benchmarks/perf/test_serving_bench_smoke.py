@@ -13,13 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import payload as bench_io
 from repro.bench.serving_perf import (
+    BATCH_SIZES,
+    DECODE_LEN,
+    PREFILL_LEN,
+    PREFIX_BENCH_SCHEMA,
     SERVING_BENCH_SCHEMA,
     check_serving_regression,
     format_serving_rows,
-    read_serving_bench_json,
     run_serving_bench,
-    write_serving_bench_json,
 )
 
 BASELINE = Path(__file__).parent / "BENCH_serving_numeric.json"
@@ -27,30 +30,19 @@ BASELINE = Path(__file__).parent / "BENCH_serving_numeric.json"
 
 @pytest.fixture(scope="module")
 def payload() -> dict:
-    return run_serving_bench(quick=True)
+    return run_serving_bench()
 
 
 class TestPayloadSchema:
     def test_schema_and_points(self, payload):
         assert payload["schema"] == SERVING_BENCH_SCHEMA
-        assert payload["quick"] is True
         assert payload["verified_bit_identical"] is True
         batches = [p["batch"] for p in payload["batches"]]
-        assert batches == [1, 8]  # quick sweep: smallest + headline batch
+        assert batches == [1, 4, 8, 16]
         for p in payload["batches"]:
             assert p["decode_tokens"] == p["batch"] * p["decode_len"]
-            assert p["tokens_per_s"] > 0
-
-    def test_json_round_trip(self, payload, tmp_path):
-        dest = tmp_path / "bench.json"
-        write_serving_bench_json(payload, dest)
-        assert read_serving_bench_json(dest) == payload
-
-    def test_read_rejects_wrong_schema(self, tmp_path):
-        dest = tmp_path / "bad.json"
-        dest.write_text(json.dumps({"schema": "other/v0", "batches": []}))
-        with pytest.raises(ValueError, match="schema"):
-            read_serving_bench_json(dest)
+            assert p["tokens_per_s"] > 0 and p["tokens_per_s_iqr"] >= 0
+            assert p["wall_s"] > 0 and p["wall_s_iqr"] >= 0
 
     def test_format_rows(self, payload):
         rows = format_serving_rows(payload)
@@ -64,7 +56,7 @@ class TestRegressionGate:
 
     def test_trips_on_real_regression(self, payload):
         # Inflating the whole baseline 10x trips both gates: the largest
-        # batch regressed >3x AND batch 8 lost its 2x edge over batch 1.
+        # batch regressed >2x AND batch 8 lost its 2x edge over batch 1.
         inflated = json.loads(json.dumps(payload))
         for p in inflated["batches"]:
             p["tokens_per_s"] *= 10.0
@@ -101,16 +93,18 @@ class TestRegressionGate:
 
 
 class TestCommittedBaseline:
-    def test_baseline_valid_full_mode_and_verified(self):
-        base = read_serving_bench_json(BASELINE)
-        assert base["quick"] is False
+    def test_baseline_verified_on_the_same_workload(self):
+        base = bench_io.read(BASELINE, SERVING_BENCH_SCHEMA)
         assert base["verified_bit_identical"] is True
-        assert max(p["batch"] for p in base["batches"]) >= 16
+        assert [
+            (p["batch"], p["prefill_len"], p["decode_len"])
+            for p in base["batches"]
+        ] == [(b, PREFILL_LEN, DECODE_LEN) for b in BATCH_SIZES]
 
     def test_baseline_shows_batching_speedup(self):
         """The serving thesis: batched decode beats batch-1 throughput —
         and the committed fused-path baseline clears its own 2x gate."""
-        base = read_serving_bench_json(BASELINE)
+        base = bench_io.read(BASELINE, SERVING_BENCH_SCHEMA)
         by_batch = {p["batch"]: p["tokens_per_s"] for p in base["batches"]}
         assert max(by_batch.values()) > by_batch[1]
         assert by_batch[8] >= 2.0 * by_batch[1]
@@ -125,11 +119,9 @@ class TestPrefixCacheBench:
     def prefix_payload(self) -> dict:
         from repro.bench.serving_perf import run_prefix_cache_bench
 
-        return run_prefix_cache_bench(quick=True)
+        return run_prefix_cache_bench()
 
     def test_schema_and_runs(self, prefix_payload):
-        from repro.bench.serving_perf import PREFIX_BENCH_SCHEMA
-
         p = prefix_payload
         assert p["schema"] == PREFIX_BENCH_SCHEMA
         assert p["verified_bit_identical"] is True
@@ -140,20 +132,6 @@ class TestPrefixCacheBench:
         assert warm["hits"] == p["conversations"] * (p["turns"] - 1)
         assert warm["lookups"] == p["conversations"] * p["turns"]
         assert warm["kv_tokens_reused"] > 0
-
-    def test_round_trip_and_schema_guard(self, prefix_payload, tmp_path):
-        from repro.bench.serving_perf import (
-            read_prefix_bench_json,
-            write_serving_bench_json,
-        )
-
-        dest = tmp_path / "prefix.json"
-        write_serving_bench_json(prefix_payload, dest)
-        assert read_prefix_bench_json(dest) == prefix_payload
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": SERVING_BENCH_SCHEMA}))
-        with pytest.raises(ValueError, match="schema"):
-            read_prefix_bench_json(bad)
 
     def test_self_comparison_passes(self, prefix_payload):
         from repro.bench.serving_perf import check_prefix_cache_regression
@@ -186,11 +164,10 @@ class TestPrefixCacheBench:
         problems = check_prefix_cache_regression(unverified, prefix_payload)
         assert any("verification" in p for p in problems)
 
-    def test_committed_baseline_warm_beats_cold(self):
-        from repro.bench.serving_perf import read_prefix_bench_json
-
-        base = read_prefix_bench_json(self.PREFIX_BASELINE)
-        assert base["quick"] is False
+    def test_committed_baseline_warm_beats_cold(self, prefix_payload):
+        base = bench_io.read(self.PREFIX_BASELINE, PREFIX_BENCH_SCHEMA)
+        shape = ("conversations", "turns", "prompt_len", "decode_len")
+        assert [base[k] for k in shape] == [prefix_payload[k] for k in shape]
         assert base["verified_bit_identical"] is True
         warm, cold = base["runs"]["warm"], base["runs"]["cold"]
         assert warm["tokens_per_s"] >= cold["tokens_per_s"]

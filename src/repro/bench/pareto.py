@@ -24,25 +24,19 @@ and per-scheme numeric throughput may not regress beyond a generous slack.
 
 from __future__ import annotations
 
-import json
 import math
-import platform
-import time
-from pathlib import Path
+from functools import partial
 
-import numpy as np
+from repro.bench.payload import PARETO_BENCH_SCHEMA, host
+from repro.bench.timing import interleaved, stats
 
 __all__ = [
     "PARETO_BENCH_SCHEMA",
     "run_pareto_bench",
     "check_pareto_regression",
     "pareto_front",
-    "write_pareto_bench_json",
-    "read_pareto_bench_json",
     "format_pareto_rows",
 ]
-
-PARETO_BENCH_SCHEMA = "atom-repro/bench-pareto/v1"
 
 def _roofline_tokens_per_s(scheme, spec, *, requests: int, seed: int):
     from repro.data.sharegpt import ShareGPTWorkload
@@ -53,9 +47,14 @@ def _roofline_tokens_per_s(scheme, spec, *, requests: int, seed: int):
     return engine.run(reqs).throughput_tokens_per_s
 
 
+N_CALIB, CALIB_LEN = 32, 64
+EVAL_CHARS = 4096
+ROOFLINE_REQUESTS = 64
+BATCH, PREFILL_LEN, DECODE_LEN = 4, 16, 12
+
+
 def run_pareto_bench(
     *,
-    quick: bool = False,
     seed: int = 0,
     model_name: str = "llama-7b-sim",
     scheme_names: "list[str] | None" = None,
@@ -64,13 +63,14 @@ def run_pareto_bench(
 
     ``scheme_names=None`` sweeps every numeric-executable registered
     scheme.  One calibration batch is shared across all recipes so the
-    sweep is deterministic and scheme-comparable.
+    sweep is deterministic and scheme-comparable.  The schemes' numeric
+    serving runs are timed interleaved (median and IQR per scheme).
     """
+    from repro.bench.serving_perf import _check_runs, _engine_case, _requests
     from repro.core.outliers import sample_calibration_tokens
-    from repro.data.sharegpt import Request
     from repro.eval import perplexity
     from repro.models.zoo import load_model
-    from repro.serving import NumericBackend, oracle_mismatches
+    from repro.serving import NumericBackend
     from repro.serving.models import SERVING_SPECS, ZOO_ANALOGS
     from repro.serving.schemes import SCHEMES, numeric_scheme_names
 
@@ -80,76 +80,57 @@ def run_pareto_bench(
     if unknown:
         raise ValueError(f"unknown schemes: {', '.join(unknown)}")
 
-    n_calib, calib_len = (8, 32) if quick else (32, 64)
-    eval_chars = 2048 if quick else 4096
-    roofline_requests = 16 if quick else 64
-    batch, prefill_len, decode_len = (4, 12, 6) if quick else (4, 16, 12)
-
     model = load_model(model_name)
     # The roofline axis simulates the full-size model the zoo analog stands
     # in for (the same pairing ``repro serve`` uses).
     spec = SERVING_SPECS[{z: n for n, z in ZOO_ANALOGS.items()}[model_name]]
-    calib = sample_calibration_tokens(n_calib, calib_len, seed=seed + 42)
+    calib = sample_calibration_tokens(N_CALIB, CALIB_LEN, seed=seed + 42)
+    reqs = _requests(BATCH, PREFILL_LEN, DECODE_LEN)
 
-    rows = []
+    served = {}
+    rows = {}
     for name in scheme_names:
         scheme = SCHEMES[name]
-        served = scheme.quantize(model, calib_tokens=calib)
-        ppl = float(perplexity(served, "synthwiki", eval_chars=eval_chars))
+        served[name] = scheme.quantize(model, calib_tokens=calib)
+        rows[name] = {
+            "scheme": name,
+            "w_bits": scheme.w_bits,
+            "a_bits": scheme.a_bits,
+            "kv_bits": scheme.kv_bits,
+            "avg_weight_bits": scheme.weight_bytes_per_param * 8.0,
+            "ppl": float(
+                perplexity(served[name], "synthwiki", eval_chars=EVAL_CHARS)
+            ),
+            "roofline_tokens_per_s": float(_roofline_tokens_per_s(
+                scheme, spec, requests=ROOFLINE_REQUESTS, seed=seed
+            )),
+            "weight_gb": spec.n_params()
+            * scheme.weight_bytes_per_param
+            / 2**30,
+            "kv_bytes_per_token": spec.kv_bytes_per_token(scheme.kv_bits),
+            "verified_bit_identical": True,
+        }
 
-        roofline_tps = _roofline_tokens_per_s(
-            scheme, spec, requests=roofline_requests, seed=seed
+    timings = interleaved({
+        name: _engine_case(partial(
+            NumericBackend.engine_for, served[name], SCHEMES[name],
+            max_batch=BATCH, admission="reserve", seed=seed,
+        ), reqs)
+        for name in scheme_names
+    })
+    delivered = BATCH * DECODE_LEN
+    for name, t in timings.items():
+        _check_runs(f"pareto bench {name}", t, reqs, oracle=True)
+        rows[name].update(
+            **stats("numeric_tokens_per_s", (delivered / s for s in t.samples)),
+            **stats("numeric_wall_s", t.samples),
         )
 
-        engine = NumericBackend.engine_for(
-            served, scheme, max_batch=batch, admission="reserve", seed=seed
-        )
-        reqs = [Request(i, prefill_len, decode_len) for i in range(batch)]
-        t0 = time.perf_counter()
-        result = engine.run(reqs)
-        wall_s = time.perf_counter() - t0
-        if result.completed_requests != batch:
-            raise RuntimeError(
-                f"pareto bench {name}: only "
-                f"{result.completed_requests}/{batch} requests finished"
-            )
-        bad = oracle_mismatches(engine, result, reqs)
-        if bad:
-            raise RuntimeError(
-                f"pareto bench {name}: requests {bad} tokens diverge from "
-                "the generate oracle"
-            )
-        delivered = batch * decode_len
-        rows.append(
-            {
-                "scheme": name,
-                "w_bits": scheme.w_bits,
-                "a_bits": scheme.a_bits,
-                "kv_bits": scheme.kv_bits,
-                "avg_weight_bits": scheme.weight_bytes_per_param * 8.0,
-                "ppl": ppl,
-                "roofline_tokens_per_s": float(roofline_tps),
-                "numeric_tokens_per_s": (
-                    delivered / wall_s if wall_s > 0 else 0.0
-                ),
-                "numeric_wall_s": wall_s,
-                "weight_gb": spec.n_params()
-                * scheme.weight_bytes_per_param
-                / 2**30,
-                "kv_bytes_per_token": spec.kv_bytes_per_token(scheme.kv_bits),
-                "verified_bit_identical": True,
-            }
-        )
-
+    rows = list(rows.values())
     return {
         "schema": PARETO_BENCH_SCHEMA,
-        "quick": quick,
         "model": {"zoo": model_name, "roofline_spec": spec.name},
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
+        "host": host(),
         "schemes": rows,
         "pareto_front": pareto_front(rows),
     }
@@ -177,7 +158,7 @@ def check_pareto_regression(
     current: dict,
     baseline: dict,
     *,
-    max_slowdown: float = 3.0,
+    max_slowdown: float = 2.0,
     ppl_headroom: float = 1.02,
 ) -> list[str]:
     """Gate the sweep's structure against the committed baseline.
@@ -257,22 +238,6 @@ def check_pareto_regression(
                 f"{cur_tps:.1f} tokens/s vs baseline {base_tps:.1f} tokens/s"
             )
     return problems
-
-
-def write_pareto_bench_json(payload: dict, dest: "str | Path") -> None:
-    from repro.bench.artifacts import atomic_write_text
-
-    atomic_write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_pareto_bench_json(src: "str | Path") -> dict:
-    payload = json.loads(Path(src).read_text())
-    if payload.get("schema") != PARETO_BENCH_SCHEMA:
-        raise ValueError(
-            f"unexpected pareto bench schema {payload.get('schema')!r} "
-            f"in {src}"
-        )
-    return payload
 
 
 def format_pareto_rows(payload: dict) -> list[list]:

@@ -4,13 +4,15 @@ Atom's headline claim is throughput: the fused kernels keep dequantization
 off the critical path.  This harness times the NumPy engine's analog of
 that claim — the vectorized :class:`~repro.core.linear.AtomLinear` pipeline,
 the preallocated KV-cache, and the O(L) sequential calibration — and emits
-the repo's committed perf baseline ``BENCH_inference.json``.  Each benchmark
-records its best-of-N wall time as ``after_s``.
+the repo's committed perf baseline ``BENCH_inference.json``.  The four
+benchmarks run interleaved through :mod:`repro.bench.timing`; each records
+the median of its repeats as ``after_s`` and their IQR as ``after_s_iqr``.
 
 Four benchmarks:
 
 ``linear_forward``       one decode-shaped AtomLinear call on the fused
-                         q/k/v site (the per-token hot operator)
+                         q/k/v site (the per-token hot operator), timed
+                         over ``LINEAR_CALLS`` back-to-back calls
 ``prefill``              full-model prompt pass, no cache
 ``decode``               token-by-token generation with an incremental
                          KV-cache (the serving-critical path; also reported
@@ -20,10 +22,11 @@ Four benchmarks:
 
 The default model is a purpose-built dense GQA config with random weights —
 timing does not need trained checkpoints, so the harness never touches the
-zoo cache.  ``quick=True`` shrinks reps/steps for the CI perf-smoke job.
+zoo cache.
 
-When a :class:`~repro.serving.telemetry.TraceRecorder` is passed, the decode
-benchmark re-runs with the recorder attached to every AtomLinear: each call
+When a :class:`~repro.serving.telemetry.TraceRecorder` is passed, the
+suite's quantized model decodes once more, untimed, with the recorder
+attached to every AtomLinear: each call
 emits an ``IterationSample`` with ``t_quant`` / ``t_dense`` wall-times, so
 the existing trace tooling (``summarize`` / ``read_jsonl``) attributes
 quantize-vs-GEMM cost without new instrumentation.
@@ -31,13 +34,10 @@ quantize-vs-GEMM cost without new instrumentation.
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
-
 import numpy as np
 
+from repro.bench.payload import BENCH_SCHEMA, host, model_block
+from repro.bench.timing import clock, interleaved, stats
 from repro.core import AtomConfig, AtomQuantizer
 from repro.core.linear import AtomLinear
 from repro.models.config import ModelConfig
@@ -49,14 +49,9 @@ __all__ = [
     "build_bench_model",
     "quantize_bench_model",
     "run_perf_suite",
-    "trace_decode",
     "check_regression",
-    "write_bench_json",
-    "read_bench_json",
     "format_rows",
 ]
-
-BENCH_SCHEMA = "atom-repro/bench-inference/v1"
 
 #: Default benchmark model: dense, GQA (8 query / 2 KV heads), sized so the
 #: groups-per-row counts match the paper's serving regime (Llama-7B at group
@@ -134,146 +129,110 @@ def _attach_telemetry(model: LlamaModel, sink) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Timed sections
-# --------------------------------------------------------------------------- #
-def _best(fn, reps: int) -> float:
-    """Best-of-``reps`` wall time of ``fn()`` (min filters scheduler noise)."""
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _decode_seconds(
-    model: LlamaModel, prompt: np.ndarray, steps: int, recorder=None
-) -> float:
-    """Greedy decode ``steps`` tokens after prefilling ``prompt``; returns
-    the decode-only wall time (prefill excluded)."""
-    cache: dict = {}
-    logits = model.forward(prompt, cache=cache)[0, -1]
-    pos = prompt.shape[1]
-    t0 = time.perf_counter()
-    for i in range(steps):
-        if recorder is not None:
-            recorder.begin_iteration(i, time.perf_counter() - t0)
-        nxt = int(np.argmax(logits))
-        logits = model.forward(
-            np.asarray([[nxt]]), pos_offset=pos, cache=cache
-        )[0, -1]
-        pos += 1
-    return time.perf_counter() - t0
-
-
-# --------------------------------------------------------------------------- #
 # Suite
 # --------------------------------------------------------------------------- #
-def run_perf_suite(*, quick: bool = False, seed: int = 0) -> dict:
-    """Run every microbenchmark; returns the ``BENCH_inference.json`` payload."""
+LINEAR_CALLS = 100  # linear_forward calls per timed repeat
+PREFILL_LEN = 128
+DECODE_PROMPT, DECODE_STEPS = 64, 96
+CALIB_SHAPE = (4, 48)
+
+
+def _decoder(model: LlamaModel, prompt: np.ndarray, steps: int, recorder=None):
+    """Prefill ``prompt`` now; return the callable that greedily decodes
+    ``steps`` tokens after it (the decode-only section a bench times)."""
+    cache: dict = {}
+    first = model.forward(prompt, cache=cache)[0, -1]
+
+    def decode() -> None:
+        logits, pos, t0 = first, prompt.shape[1], clock()
+        for i in range(steps):
+            if recorder is not None:
+                recorder.begin_iteration(i, clock() - t0)
+            nxt = int(np.argmax(logits))
+            logits = model.forward(
+                np.asarray([[nxt]]), pos_offset=pos, cache=cache
+            )[0, -1]
+            pos += 1
+
+    return decode
+
+
+def run_perf_suite(*, seed: int = 0, recorder=None) -> dict:
+    """Run every microbenchmark; returns the ``BENCH_inference.json`` payload.
+
+    With a :class:`~repro.serving.telemetry.TraceRecorder`, the suite's
+    quantized model then decodes once more, untimed, with the recorder
+    attached to every AtomLinear (kernel-phase telemetry).
+    """
     cfg = BENCH_MODEL_CONFIG
     model = build_bench_model(cfg, seed=seed)
     qmodel = quantize_bench_model(model, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
 
-    reps = 3 if quick else 5
-    lin_reps = 30 if quick else 100
-    prefill_len = 48 if quick else 128
-    decode_prompt = 32 if quick else 64
-    decode_steps = 24 if quick else 96
-
-    benchmarks: dict[str, dict] = {}
-
-    # -- linear forward (decode-shaped: one token; the fused q/k/v site) -- #
+    # linear_forward: decode-shaped (one token) calls on the fused q/k/v site.
     lin = qmodel.linears["layers.0.attn_in"]
     x1 = rng.normal(size=(1, cfg.dim))
-    lin(x1)  # warm-up
-    benchmarks["linear_forward"] = {
-        "after_s": _best(lambda: lin(x1), lin_reps),
-        "tokens": 1,
-        "in_features": lin.in_features,
-        "out_features": lin.out_features,
-    }
-
-    # -- prefill --------------------------------------------------------- #
-    prompt = rng.integers(0, cfg.vocab_size, size=(1, prefill_len))
-    benchmarks["prefill"] = {
-        "after_s": _best(lambda: qmodel.forward(prompt), reps),
-        "tokens": prefill_len,
-    }
-
-    # -- decode ---------------------------------------------------------- #
-    dec_prompt = rng.integers(0, cfg.vocab_size, size=(1, decode_prompt))
-    after = min(
-        _decode_seconds(qmodel, dec_prompt, decode_steps) for _ in range(reps)
-    )
-    benchmarks["decode"] = {
-        "after_s": after,
-        "after_tokens_per_s": decode_steps / after,
-        "prompt_tokens": decode_prompt,
-        "decode_steps": decode_steps,
-    }
-
-    # -- sequential calibration ------------------------------------------ #
-    # RTN weights: the GPTQ solver would swamp the calibration forward
-    # executions this measures (O(L) carried hidden states).
-    calib = rng.integers(0, cfg.vocab_size, size=(2, 24) if quick else (4, 48))
+    prompt = rng.integers(0, cfg.vocab_size, size=(1, PREFILL_LEN))
+    dec_prompt = rng.integers(0, cfg.vocab_size, size=(1, DECODE_PROMPT))
+    # quantize_sequential: RTN weights, since the GPTQ solver would swamp the
+    # calibration forward executions this measures (O(L) carried states).
+    calib = rng.integers(0, cfg.vocab_size, size=CALIB_SHAPE)
     seq_cfg = AtomConfig.paper_default().with_(sequential=True, use_gptq=False)
-    benchmarks["quantize_sequential"] = {
-        "after_s": _best(
-            lambda: AtomQuantizer(seq_cfg).quantize(model, calib_tokens=calib), 1
+
+    def linear_calls() -> None:
+        for _ in range(LINEAR_CALLS):
+            lin(x1)
+
+    lin(x1)  # warm-up
+    t = interleaved({
+        "linear_forward": lambda: linear_calls,
+        "prefill": lambda: lambda: qmodel.forward(prompt),
+        "decode": lambda: _decoder(qmodel, dec_prompt, DECODE_STEPS),
+        "quantize_sequential": lambda: lambda: AtomQuantizer(seq_cfg).quantize(
+            model, calib_tokens=calib
         ),
-        "layers": cfg.n_layers,
-        "calib_tokens": int(calib.size),
+    })
+    benchmarks = {
+        "linear_forward": {
+            **stats("after_s",
+                    (s / LINEAR_CALLS for s in t["linear_forward"].samples)),
+            "tokens": 1,
+            "in_features": lin.in_features,
+            "out_features": lin.out_features,
+        },
+        "prefill": {**stats("after_s", t["prefill"].samples),
+                    "tokens": PREFILL_LEN},
+        "decode": {
+            **stats("after_s", t["decode"].samples),
+            **stats("after_tokens_per_s",
+                    (DECODE_STEPS / s for s in t["decode"].samples)),
+            "prompt_tokens": DECODE_PROMPT,
+            "decode_steps": DECODE_STEPS,
+        },
+        "quantize_sequential": {
+            **stats("after_s", t["quantize_sequential"].samples),
+            "layers": cfg.n_layers,
+            "calib_tokens": int(calib.size),
+        },
     }
+
+    if recorder is not None:
+        _attach_telemetry(qmodel, recorder)
+        try:
+            _decoder(qmodel, dec_prompt, DECODE_STEPS, recorder)()
+        finally:
+            _attach_telemetry(qmodel, None)
 
     return {
         "schema": BENCH_SCHEMA,
-        "quick": quick,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "model": {
-            "name": cfg.name,
-            "dim": cfg.dim,
-            "n_layers": cfg.n_layers,
-            "n_heads": cfg.n_heads,
-            "n_kv_heads": cfg.n_kv_heads,
-            "ffn_dim": cfg.ffn_dim,
-            "n_outlier": cfg.n_outlier,
-            "group_size": cfg.group_size,
-        },
+        "host": host(),
+        "model": model_block(cfg),
         "benchmarks": benchmarks,
     }
 
 
-def trace_decode(
-    recorder, *, quick: bool = False, seed: int = 0
-) -> tuple[int, float]:
-    """Decode with kernel-phase telemetry attached to every AtomLinear.
-
-    Returns ``(decode_steps, decode_seconds)``; ``recorder`` accumulates one
-    ``IterationSample`` (``t_quant`` / ``t_dense``) per linear call, which
-    ``repro.serving.telemetry.summarize`` re-aggregates into the
-    quantize-vs-GEMM time breakdown.
-    """
-    cfg = BENCH_MODEL_CONFIG
-    qmodel = quantize_bench_model(build_bench_model(cfg, seed=seed), seed=seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    prompt = rng.integers(0, cfg.vocab_size, size=(1, 32 if quick else 64))
-    steps = 24 if quick else 96
-    _attach_telemetry(qmodel, recorder)
-    try:
-        seconds = _decode_seconds(qmodel, prompt, steps, recorder=recorder)
-    finally:
-        _attach_telemetry(qmodel, None)
-    return steps, seconds
-
-
 # --------------------------------------------------------------------------- #
-# Regression gate + I/O
+# Regression gate
 # --------------------------------------------------------------------------- #
 def check_regression(
     current: dict, baseline: dict, *, max_slowdown: float = 2.0
@@ -298,24 +257,9 @@ def check_regression(
     return problems
 
 
-def write_bench_json(payload: dict, dest: "str | Path") -> None:
-    from repro.bench.artifacts import atomic_write_text
-
-    atomic_write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_bench_json(src: "str | Path") -> dict:
-    payload = json.loads(Path(src).read_text())
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"unexpected bench schema {payload.get('schema')!r} in {src}"
-        )
-    return payload
-
-
 def format_rows(payload: dict) -> list[list]:
-    """Table rows (bench, wall time) for the CLI."""
+    """Table rows (bench, median wall time ± IQR) for the CLI."""
     return [
-        [name, f"{b['after_s'] * 1e3:.2f} ms"]
+        [name, f"{b['after_s'] * 1e3:.2f} ± {b['after_s_iqr'] * 1e3:.2f} ms"]
         for name, b in payload["benchmarks"].items()
     ]

@@ -11,7 +11,9 @@ requests until the scheduler (not the model) is the bottleneck.
 The benchmark model is a random-weight GQA config quantized with the full
 Atom recipe (no zoo cache / training involved), so the run exercises
 quantized GEMMs and 4-bit KV pages exactly as a real numeric serving run
-does.  One batch point is additionally verified bit-identical against the
+does.  The batch points are timed interleaved through
+:mod:`repro.bench.timing` (median and IQR per point).  The smallest and
+largest points are additionally verified bit-identical against the
 per-request :meth:`~repro.models.llama.LlamaModel.generate` oracle, and the
 payload records that fact — a perf baseline that silently stopped computing
 the right tokens would be worthless.
@@ -24,14 +26,18 @@ shared CI is noisy.
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
-from repro.core import AtomConfig, AtomQuantizer
+from repro.bench.payload import (
+    PREFIX_BENCH_SCHEMA,
+    SERVING_BENCH_SCHEMA,
+    host,
+    model_block,
+)
+from repro.bench.perf import build_bench_model, quantize_bench_model
+from repro.bench.timing import interleaved, stats
 from repro.models.config import ModelConfig
 
 __all__ = [
@@ -43,15 +49,9 @@ __all__ = [
     "run_prefix_cache_bench",
     "check_serving_regression",
     "check_prefix_cache_regression",
-    "write_serving_bench_json",
-    "read_serving_bench_json",
-    "read_prefix_bench_json",
     "format_serving_rows",
     "format_prefix_rows",
 ]
-
-SERVING_BENCH_SCHEMA = "atom-repro/bench-serving-numeric/v1"
-PREFIX_BENCH_SCHEMA = "atom-repro/bench-prefix-cache/v1"
 
 #: Small dense GQA model (4 query heads per KV head) — large enough that the
 #: grouped attention path and multi-page KV sequences are exercised, small
@@ -71,13 +71,8 @@ SERVING_BENCH_CONFIG = ModelConfig(
 
 def build_serving_bench_model(seed: int = 0):
     """Random-weight :data:`SERVING_BENCH_CONFIG` model, Atom-quantized."""
-    from repro.bench.perf import build_bench_model
-
-    model = build_bench_model(SERVING_BENCH_CONFIG, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    calib = rng.integers(0, SERVING_BENCH_CONFIG.vocab_size, size=(4, 32))
-    return AtomQuantizer(AtomConfig.paper_default()).quantize(
-        model, calib_tokens=calib
+    return quantize_bench_model(
+        build_bench_model(SERVING_BENCH_CONFIG, seed=seed), seed=seed + 1
     )
 
 
@@ -87,85 +82,91 @@ def _requests(batch: int, prefill_len: int, decode_len: int):
     return [Request(i, prefill_len, decode_len) for i in range(batch)]
 
 
-def run_serving_bench(*, quick: bool = False, seed: int = 0) -> dict:
+def _engine_case(new_engine, reqs):
+    """An :func:`~repro.bench.timing.interleaved` case: ``new_engine()``
+    (untimed), then time ``engine.run(reqs)``; the run yields ``(engine,
+    result)`` for the checks."""
+
+    def prepare():
+        engine = new_engine()
+        return lambda: (engine, engine.run(reqs))
+
+    return prepare
+
+
+def _check_runs(label: str, timing, reqs, *, oracle: bool) -> None:
+    """Every timed run finished every request; with ``oracle``, the first
+    run's tokens equal the per-request ``generate`` oracle's."""
+    from repro.serving import oracle_mismatches
+
+    for _, result in timing.outputs:
+        if result.completed_requests != len(reqs):
+            raise RuntimeError(
+                f"{label}: only {result.completed_requests}/{len(reqs)} "
+                "requests finished"
+            )
+    if oracle:
+        bad = oracle_mismatches(*timing.outputs[0], reqs)
+        if bad:
+            raise RuntimeError(
+                f"{label}: requests {bad} tokens diverge from the generate "
+                "oracle"
+            )
+
+
+BATCH_SIZES = (1, 4, 8, 16)
+PREFILL_LEN, DECODE_LEN = 24, 32
+
+
+def run_serving_bench(*, seed: int = 0) -> dict:
     """Measure numeric-backend decode throughput across batch sizes.
 
     Returns the ``BENCH_serving_numeric.json`` payload.  Each batch point
     runs a fresh engine + backend over ``batch`` identical-length requests
     under reserve admission, and reports delivered decode tokens per
-    wall-clock second; decode runs the fused cross-request path (one
-    ``forward_batch`` per engine step).  The smallest AND largest batch
-    points are verified bit-identical against the per-request ``generate``
-    oracle — the large point exercises the fused path at real batch widths.
+    wall-clock second (median and IQR over the interleaved repeats); decode
+    runs the fused cross-request path (one ``forward_batch`` per engine
+    step).  The smallest AND largest batch points are verified
+    bit-identical against the per-request ``generate`` oracle — the large
+    point exercises the fused path at real batch widths.
     """
-    from repro.serving import SCHEMES, NumericBackend, oracle_mismatches
+    from repro.serving import SCHEMES, NumericBackend
 
-    batch_sizes = (1, 8) if quick else (1, 4, 8, 16)
-    prefill_len, decode_len = (16, 8) if quick else (24, 32)
     model = build_serving_bench_model(seed=seed)
     scheme = SCHEMES["Atom-W4A4"]
-
+    reqs = {b: _requests(b, PREFILL_LEN, DECODE_LEN) for b in BATCH_SIZES}
+    timings = interleaved({
+        b: _engine_case(partial(
+            NumericBackend.engine_for, model, scheme, max_batch=b,
+            admission="reserve", seed=seed,
+        ), reqs[b])
+        for b in BATCH_SIZES
+    })
     points = []
-    verified = False
-    verify_at = {batch_sizes[0], batch_sizes[-1]}
-    for batch in batch_sizes:
-        engine = NumericBackend.engine_for(
-            model,
-            scheme,
-            max_batch=batch,
-            admission="reserve",
-            seed=seed,
+    for batch, t in timings.items():
+        _check_runs(
+            f"serving bench batch={batch}", t, reqs[batch],
+            oracle=batch in (BATCH_SIZES[0], BATCH_SIZES[-1]),
         )
-        reqs = _requests(batch, prefill_len, decode_len)
-        t0 = time.perf_counter()
-        result = engine.run(reqs)
-        wall_s = time.perf_counter() - t0
-        if result.completed_requests != batch:
-            raise RuntimeError(
-                f"serving bench batch={batch}: only "
-                f"{result.completed_requests}/{batch} requests finished"
-            )
-        if batch in verify_at:
-            bad = oracle_mismatches(engine, result, reqs)
-            if bad:
-                raise RuntimeError(
-                    f"serving bench: batch={batch} requests {bad} tokens "
-                    "diverge from the generate oracle — numeric backend is "
-                    "broken"
-                )
-            verified = True
-        delivered = batch * decode_len
+        delivered = batch * DECODE_LEN
         points.append(
             {
                 "batch": batch,
                 "requests": batch,
-                "prefill_len": prefill_len,
-                "decode_len": decode_len,
+                "prefill_len": PREFILL_LEN,
+                "decode_len": DECODE_LEN,
                 "decode_tokens": delivered,
-                "wall_s": wall_s,
-                "tokens_per_s": delivered / wall_s if wall_s > 0 else 0.0,
+                **stats("wall_s", t.samples),
+                **stats("tokens_per_s", (delivered / s for s in t.samples)),
             }
         )
 
-    cfg = SERVING_BENCH_CONFIG
     return {
         "schema": SERVING_BENCH_SCHEMA,
-        "quick": quick,
         "scheme": scheme.name,
-        "verified_bit_identical": verified,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "model": {
-            "name": cfg.name,
-            "dim": cfg.dim,
-            "n_layers": cfg.n_layers,
-            "n_heads": cfg.n_heads,
-            "n_kv_heads": cfg.n_kv_heads,
-            "ffn_dim": cfg.ffn_dim,
-        },
+        "verified_bit_identical": True,
+        "host": host(),
+        "model": model_block(SERVING_BENCH_CONFIG),
         "batches": points,
     }
 
@@ -195,77 +196,72 @@ def _conversation_requests(
     return reqs
 
 
-def run_prefix_cache_bench(*, quick: bool = False, seed: int = 0) -> dict:
+N_CONVERSATIONS, TURNS = 3, 3
+PROMPT_LEN, CONV_DECODE_LEN = 96, 12
+
+
+def run_prefix_cache_bench(*, seed: int = 0) -> dict:
     """Warm-vs-cold sweep: the same conversations with and without the cache.
 
-    Runs one multi-round conversation workload twice through the numeric
-    backend — cold (no prefix cache: every turn re-prefills its whole
-    history) and warm (radix-tree prefix cache: turn ``k + 1`` resumes from
-    turn ``k``'s interned pages).  Both runs serve identical conversation
-    prompts; every finished request in *both* runs is verified bit-identical
-    against the per-request ``generate`` oracle, which is the whole point:
-    the warm run skips prefill work without changing a single token.
+    Runs one multi-round conversation workload through the numeric backend
+    cold (no prefix cache: every turn re-prefills its whole history) and
+    warm (radix-tree prefix cache: turn ``k + 1`` resumes from turn ``k``'s
+    interned pages), interleaved repeat by repeat.  Both modes serve
+    identical conversation prompts; each mode's tokens are verified
+    bit-identical against the per-request ``generate`` oracle, and every
+    warm run's tokens equal every cold run's, which is the whole point: the
+    warm run skips prefill work without changing a single token.
 
     Returns the ``BENCH_prefix_cache.json`` payload.
     """
-    from repro.serving import (
-        SCHEMES,
-        NumericBackend,
-        PrefixCache,
-        oracle_mismatches,
-    )
+    from repro.serving import SCHEMES, NumericBackend, PrefixCache
 
     # Prompts are long enough that the skipped prefill FLOPs dominate the
     # cache's Python-side bookkeeping — warm must beat cold on wall-clock
     # (the CI gate), not just on positions computed.
-    n_conv, turns = (2, 3) if quick else (3, 3)
-    prompt_len, decode_len = (64, 8) if quick else (96, 12)
     model = build_serving_bench_model(seed=seed)
     scheme = SCHEMES["Atom-W4A4"]
-    reqs = _conversation_requests(n_conv, turns, prompt_len, decode_len)
+    reqs = _conversation_requests(
+        N_CONVERSATIONS, TURNS, PROMPT_LEN, CONV_DECODE_LEN
+    )
 
-    runs = {}
-    tokens = {}
-    for mode in ("cold", "warm"):
-        cache = PrefixCache(seed=seed) if mode == "warm" else None
-        engine = NumericBackend.engine_for(
+    def new_engine(warm: bool):  # a fresh (empty) cache for every run
+        return NumericBackend.engine_for(
             model,
             scheme,
-            max_batch=n_conv,
+            max_batch=N_CONVERSATIONS,
             admission="reserve",
             seed=seed,
             prompts="conversation",
-            prefix_cache=cache,
+            prefix_cache=PrefixCache(seed=seed) if warm else None,
         )
-        backend = engine.backend
-        t0 = time.perf_counter()
-        result = engine.run(reqs)
-        wall_s = time.perf_counter() - t0
-        if result.completed_requests != len(reqs):
-            raise RuntimeError(
-                f"prefix cache bench ({mode}): only "
-                f"{result.completed_requests}/{len(reqs)} requests finished"
-            )
-        bad = oracle_mismatches(engine, result, reqs)
-        if bad:
-            raise RuntimeError(
-                f"prefix cache bench ({mode}): requests {bad} tokens "
-                "diverge from the generate oracle"
-            )
-        tokens[mode] = {
-            r.request_id: np.asarray(
-                backend.generated_tokens(r.request_id)
-            ).tolist()
+
+    timings = interleaved({
+        mode: _engine_case(partial(new_engine, mode == "warm"), reqs)
+        for mode in ("cold", "warm")
+    })
+    def tokens(engine) -> list:
+        return [
+            np.asarray(engine.backend.generated_tokens(r.request_id)).tolist()
             for r in reqs
-        }
-        delivered = len(reqs) * decode_len
+        ]
+
+    cold_tokens = tokens(timings["cold"].outputs[0][0])
+    runs = {}
+    for mode, t in timings.items():
+        _check_runs(f"prefix cache bench ({mode})", t, reqs, oracle=True)
+        if any(tokens(engine) != cold_tokens for engine, _ in t.outputs):
+            raise RuntimeError(
+                "prefix cache bench: warm tokens differ from cold tokens"
+            )
+        delivered = len(reqs) * CONV_DECODE_LEN
         point = {
             "decode_tokens": delivered,
-            "wall_s": wall_s,
-            "tokens_per_s": delivered / wall_s if wall_s > 0 else 0.0,
+            **stats("wall_s", t.samples),
+            **stats("tokens_per_s", (delivered / s for s in t.samples)),
         }
-        if cache is not None:
-            pc = result.prefix_cache
+        if mode == "warm":
+            pc = t.outputs[0][1].prefix_cache
             point.update(
                 hits=pc["hits"],
                 lookups=pc["lookups"],
@@ -275,40 +271,19 @@ def run_prefix_cache_bench(*, quick: bool = False, seed: int = 0) -> dict:
                 evicted_pages=pc["evicted_pages"],
             )
         runs[mode] = point
-    if tokens["warm"] != tokens["cold"]:
-        raise RuntimeError(
-            "prefix cache bench: warm tokens differ from cold tokens"
-        )
 
-    cfg = SERVING_BENCH_CONFIG
     return {
         "schema": PREFIX_BENCH_SCHEMA,
-        "quick": quick,
         "scheme": scheme.name,
-        "conversations": n_conv,
-        "turns": turns,
-        "prompt_len": prompt_len,
-        "decode_len": decode_len,
+        "conversations": N_CONVERSATIONS,
+        "turns": TURNS,
+        "prompt_len": PROMPT_LEN,
+        "decode_len": CONV_DECODE_LEN,
         "verified_bit_identical": True,
-        "host": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "model": {
-            "name": cfg.name,
-            "dim": cfg.dim,
-            "n_layers": cfg.n_layers,
-            "n_heads": cfg.n_heads,
-            "n_kv_heads": cfg.n_kv_heads,
-            "ffn_dim": cfg.ffn_dim,
-        },
+        "host": host(),
+        "model": model_block(SERVING_BENCH_CONFIG),
         "runs": runs,
-        "warm_speedup": (
-            runs["cold"]["wall_s"] / runs["warm"]["wall_s"]
-            if runs["warm"]["wall_s"] > 0
-            else 0.0
-        ),
+        "warm_speedup": runs["cold"]["wall_s"] / runs["warm"]["wall_s"],
     }
 
 
@@ -316,7 +291,7 @@ def check_serving_regression(
     current: dict,
     baseline: dict,
     *,
-    max_slowdown: float = 3.0,
+    max_slowdown: float = 2.0,
     min_batch_speedup: float = 2.0,
 ) -> list[str]:
     """Gate throughput against the committed baseline.
@@ -370,12 +345,12 @@ def check_prefix_cache_regression(
     current: dict,
     baseline: dict,
     *,
-    max_slowdown: float = 3.0,
+    max_slowdown: float = 2.0,
     min_warm_ratio: float = 1.0,
 ) -> list[str]:
     """Gate the warm-vs-cold sweep against the committed baseline.
 
-    Three gates:
+    Four gates:
 
     - the warm run must be verified bit-identical to the oracle (and to the
       cold run — ``run_prefix_cache_bench`` raises otherwise);
@@ -388,7 +363,7 @@ def check_prefix_cache_regression(
     - the hit rate must reach the workload's structural expectation —
       every turn after a conversation's first is a hit, so
       ``(turns - 1) / turns`` of lookups — against the current payload's
-      own shape (quick and full runs differ in size but not in this ratio).
+      own shape.
 
     Returns human-readable failures (empty = pass).
     """
@@ -425,34 +400,8 @@ def check_prefix_cache_regression(
     return problems
 
 
-def write_serving_bench_json(payload: dict, dest: "str | Path") -> None:
-    from repro.bench.artifacts import atomic_write_text
-
-    atomic_write_text(dest, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_serving_bench_json(src: "str | Path") -> dict:
-    payload = json.loads(Path(src).read_text())
-    if payload.get("schema") != SERVING_BENCH_SCHEMA:
-        raise ValueError(
-            f"unexpected serving bench schema {payload.get('schema')!r} "
-            f"in {src}"
-        )
-    return payload
-
-
-def read_prefix_bench_json(src: "str | Path") -> dict:
-    payload = json.loads(Path(src).read_text())
-    if payload.get("schema") != PREFIX_BENCH_SCHEMA:
-        raise ValueError(
-            f"unexpected prefix cache bench schema "
-            f"{payload.get('schema')!r} in {src}"
-        )
-    return payload
-
-
 def format_prefix_rows(payload: dict) -> list[list]:
-    """Table rows (run, decode tokens, wall s, tokens/s, hit rate)."""
+    """Table rows (run, decode tokens, median wall s, tokens/s ± IQR, hit rate)."""
     rows = []
     for mode in ("cold", "warm"):
         p = payload["runs"][mode]
@@ -461,7 +410,7 @@ def format_prefix_rows(payload: dict) -> list[list]:
                 mode,
                 p["decode_tokens"],
                 f"{p['wall_s']:.3f}",
-                f"{p['tokens_per_s']:.1f}",
+                f"{p['tokens_per_s']:.1f} ± {p['tokens_per_s_iqr']:.1f}",
                 f"{p['hit_rate']:.0%}" if "hit_rate" in p else "-",
             ]
         )
@@ -469,13 +418,13 @@ def format_prefix_rows(payload: dict) -> list[list]:
 
 
 def format_serving_rows(payload: dict) -> list[list]:
-    """Table rows (batch, decode tokens, wall s, tokens/s) for the CLI."""
+    """Table rows (batch, decode tokens, median wall s, tokens/s ± IQR)."""
     return [
         [
             p["batch"],
             p["decode_tokens"],
             f"{p['wall_s']:.3f}",
-            f"{p['tokens_per_s']:.1f}",
+            f"{p['tokens_per_s']:.1f} ± {p['tokens_per_s_iqr']:.1f}",
         ]
         for p in payload["batches"]
     ]

@@ -11,8 +11,8 @@ Usage::
     python -m repro trace --scheme FP16 -o t.jsonl   # serving event trace
     python -m repro trace --chaos 7 -o t.jsonl       # fault-injection trace
     python -m repro bench -o BENCH_inference.json    # inference microbenchmarks
-    python -m repro bench --serving --quick          # batched numeric decode
-    python -m repro bench --pareto --quick           # scheme Pareto sweep
+    python -m repro bench --serving                  # batched numeric decode
+    python -m repro bench --pareto                   # scheme Pareto sweep
     python -m repro quantize --checkpoint-dir ckpt/  # crash-safe, resumable
     python -m repro doctor --checkpoint-dir ckpt/    # validate on-disk artifacts
 """
@@ -503,25 +503,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_tail(
-    args: argparse.Namespace, payload: dict, write, read, check
-) -> int:
+def _bench_tail(args: argparse.Namespace, payload: dict, check) -> int:
     """Write ``-o``, then gate ``payload`` against ``--check-against``.
 
-    Exit 2 on an unreadable baseline, 1 on a regression, else 0.
+    Exit 2 on an unreadable baseline, 1 on a regression, else 0.  Without
+    ``--max-slowdown`` the gate keeps ``check``'s own bound.
     """
+    from repro.bench import payload as bench_payload
+
     if args.output:
-        write(payload, args.output)
+        bench_payload.write(payload, args.output)
         print(f"wrote {args.output}")
     if not args.check_against:
         return 0
     try:
-        baseline = read(args.check_against)
+        baseline = bench_payload.read(args.check_against, payload["schema"])
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read baseline {args.check_against}: {exc}",
               file=sys.stderr)
         return 2
-    problems = check(payload, baseline, max_slowdown=args.max_slowdown)
+    bound = {} if args.max_slowdown is None else {
+        "max_slowdown": args.max_slowdown
+    }
+    problems = check(payload, baseline, **bound)
     for msg in problems:
         print(f"REGRESSION: {msg}", file=sys.stderr)
     if problems:
@@ -535,29 +539,23 @@ def _cmd_bench_prefix(args: argparse.Namespace) -> int:
     from repro.bench.serving_perf import (
         check_prefix_cache_regression,
         format_prefix_rows,
-        read_prefix_bench_json,
         run_prefix_cache_bench,
-        write_serving_bench_json,
     )
 
-    payload = run_prefix_cache_bench(quick=args.quick)
+    payload = run_prefix_cache_bench()
     print(
         format_table(
             ["run", "decode tokens", "wall s", "tokens/s", "hit rate"],
             format_prefix_rows(payload),
             title="numeric serving backend, "
             f"{payload['conversations']} conversations x "
-            f"{payload['turns']} turns, prefix cache warm vs cold"
-            + (" (quick)" if args.quick else ""),
+            f"{payload['turns']} turns, prefix cache warm vs cold",
         )
     )
     print(f"warm speedup over cold prefill: {payload['warm_speedup']:.2f}x")
     print("tokens verified bit-identical to generate oracle (both runs): "
           f"{payload['verified_bit_identical']}")
-    return _bench_tail(
-        args, payload, write_serving_bench_json, read_prefix_bench_json,
-        check_prefix_cache_regression,
-    )
+    return _bench_tail(args, payload, check_prefix_cache_regression)
 
 
 def _cmd_bench_pareto(args: argparse.Namespace) -> int:
@@ -565,30 +563,24 @@ def _cmd_bench_pareto(args: argparse.Namespace) -> int:
     from repro.bench.pareto import (
         check_pareto_regression,
         format_pareto_rows,
-        read_pareto_bench_json,
         run_pareto_bench,
-        write_pareto_bench_json,
     )
 
-    payload = run_pareto_bench(quick=args.quick)
+    payload = run_pareto_bench()
     print(
         format_table(
             ["scheme", "w/a/kv bits", "ppl", "roofline tok/s",
              "numeric tok/s", "weights GB", "KV B/token"],
             format_pareto_rows(payload),
             title=f"scheme Pareto sweep: {payload['model']['zoo']} accuracy, "
-            f"{payload['model']['roofline_spec']} roofline"
-            + (" (quick)" if args.quick else ""),
+            f"{payload['model']['roofline_spec']} roofline",
         )
     )
     print("* on the (ppl, modeled tokens/s) Pareto front: "
           + ", ".join(payload["pareto_front"]))
     print("tokens verified bit-identical to generate oracle (all schemes): "
           "True")
-    return _bench_tail(
-        args, payload, write_pareto_bench_json, read_pareto_bench_json,
-        check_pareto_regression,
-    )
+    return _bench_tail(args, payload, check_pareto_regression)
 
 
 def _cmd_bench_serving(args: argparse.Namespace) -> int:
@@ -598,59 +590,48 @@ def _cmd_bench_serving(args: argparse.Namespace) -> int:
     from repro.bench.serving_perf import (
         check_serving_regression,
         format_serving_rows,
-        read_serving_bench_json,
         run_serving_bench,
-        write_serving_bench_json,
     )
 
-    payload = run_serving_bench(quick=args.quick)
+    payload = run_serving_bench()
     print(
         format_table(
             ["batch", "decode tokens", "wall s", "tokens/s"],
             format_serving_rows(payload),
-            title="numeric serving backend, fused batched decode"
-            + (" (quick)" if args.quick else ""),
+            title="numeric serving backend, fused batched decode",
         )
     )
     print("tokens verified bit-identical to generate oracle: "
           f"{payload['verified_bit_identical']}")
-    return _bench_tail(
-        args, payload, write_serving_bench_json, read_serving_bench_json,
-        check_serving_regression,
-    )
+    return _bench_tail(args, payload, check_serving_regression)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.perf import (
-        check_regression,
-        format_rows,
-        read_bench_json,
-        run_perf_suite,
-        trace_decode,
-        write_bench_json,
-    )
+    from repro.bench.perf import check_regression, format_rows, run_perf_suite
 
     if args.pareto:
         return _cmd_bench_pareto(args)
     if args.serving:
         return _cmd_bench_serving(args)
 
-    payload = run_perf_suite(quick=args.quick)
+    recorder = None
+    if args.trace:
+        from repro.serving import TraceRecorder
+
+        recorder = TraceRecorder()
+    payload = run_perf_suite(recorder=recorder)
     print(
         format_table(
             ["benchmark", "wall time"],
             format_rows(payload),
-            title="quantized inference" + (" (quick)" if args.quick else ""),
+            title="quantized inference (median ± IQR)",
         )
     )
     d = payload["benchmarks"]["decode"]
     print(f"decode throughput: {d['after_tokens_per_s']:.1f} tokens/s")
-    if args.trace:
-        from repro.serving import TraceRecorder
+    if recorder is not None:
         from repro.serving.telemetry import summarize, write_jsonl
 
-        recorder = TraceRecorder()
-        steps, seconds = trace_decode(recorder, quick=args.quick)
         write_jsonl(recorder.events, args.trace)
         s = summarize(recorder.events)
         t_quant = s.time_breakdown.get("quant", 0.0)
@@ -658,16 +639,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         total = t_quant + t_dense
         print(
             f"wrote {len(recorder.events)} kernel-phase events to {args.trace} "
-            f"({steps} decode steps, {seconds:.3f}s)"
+            f"({d['decode_steps']} decode steps, {s.total_time_s:.3f}s)"
         )
         if total > 0:
             print(
                 f"linear time split: quantize {100 * t_quant / total:.1f}% / "
                 f"GEMM+epilogue {100 * t_dense / total:.1f}%"
             )
-    return _bench_tail(
-        args, payload, write_bench_json, read_bench_json, check_regression
-    )
+    return _bench_tail(args, payload, check_regression)
+
+
+def _floats(node, where: str):
+    """Every ``(path, value)`` float leaf of a JSON document."""
+    if isinstance(node, float):
+        yield where, node
+    elif isinstance(node, dict):
+        for key, val in node.items():
+            yield from _floats(val, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _floats(val, f"{where}[{i}]")
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
@@ -692,18 +683,16 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         )
 
     for bench in args.bench or ():
-        from repro.bench.perf import read_bench_json
+        from repro.bench import payload as bench_payload
 
-        problems: list[str] = []
         try:
-            payload = read_bench_json(bench)
+            payload = bench_payload.read(bench)
         except (OSError, ValueError, KeyError) as exc:
-            problems.append(f"unreadable: {exc}")
+            problems = [f"unreadable: {exc}"]
         else:
-            for name, b in payload.get("benchmarks", {}).items():
-                for key, val in b.items():
-                    if isinstance(val, float) and not math.isfinite(val):
-                        problems.append(f"benchmarks.{name}.{key} is {val}")
+            problems = [f"{where} is {val}"
+                        for where, val in _floats(payload, "")
+                        if not math.isfinite(val)]
         checks.append((f"bench {bench}", problems))
 
     if not checks:
@@ -875,15 +864,14 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="inference microbenchmarks (linear/prefill/decode/quantize)",
     )
-    b.add_argument("--quick", action="store_true",
-                   help="reduced reps/steps (CI smoke mode)")
     b.add_argument("-o", "--output", default=None,
                    help="write BENCH_inference.json payload here")
     b.add_argument("--check-against", default=None, metavar="BASELINE",
                    help="fail (exit 1) if decode throughput regresses vs this "
                         "committed BENCH_inference.json")
-    b.add_argument("--max-slowdown", type=float, default=2.0,
-                   help="regression threshold for --check-against")
+    b.add_argument("--max-slowdown", type=float, default=None,
+                   help="regression threshold for --check-against "
+                        "(default: the check's own bound, 2x)")
     b.add_argument("--trace", default=None, metavar="JSONL",
                    help="also write a kernel-phase telemetry trace "
                         "(quantize vs GEMM time per linear call)")

@@ -2,10 +2,14 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: The committed ``BENCH_*.json`` baselines.
+_COMMITTED = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
 
 class TestParser:
@@ -48,10 +52,11 @@ class TestParser:
 
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.quick is False
+        assert not hasattr(args, "quick")  # one workload per bench
         assert args.output is None
         assert args.check_against is None
-        assert args.max_slowdown == 2.0
+        # No CLI default: each check function's own bound applies.
+        assert args.max_slowdown is None
 
 
 class TestCommands:
@@ -150,45 +155,51 @@ class TestTraceCommand:
 
 @pytest.fixture(scope="module")
 def bench_payload(tmp_path_factory):
-    """One real quick perf-suite run, shared by every bench CLI test."""
-    from repro.bench.perf import run_perf_suite, write_bench_json
+    """One real traced perf-suite run, shared by every bench CLI test:
+    ``(payload, path of its JSON, the kernel-phase events it traced)``."""
+    from repro.bench import payload as bench_io
+    from repro.bench.perf import run_perf_suite
+    from repro.serving import TraceRecorder
 
-    payload = run_perf_suite(quick=True)
+    recorder = TraceRecorder()
+    payload = run_perf_suite(recorder=recorder)
     path = tmp_path_factory.mktemp("bench") / "BENCH_inference.json"
-    write_bench_json(payload, path)
-    return payload, path
+    bench_io.write(payload, path)
+    return payload, path, recorder.events
 
 
 @pytest.fixture(scope="module")
 def serving_bench_payload(tmp_path_factory):
-    """One real quick serving-bench run, shared by every --serving test."""
-    from repro.bench.serving_perf import (
-        run_serving_bench,
-        write_serving_bench_json,
-    )
+    """One real serving-bench run, shared by every --serving test."""
+    from repro.bench import payload as bench_io
+    from repro.bench.serving_perf import run_serving_bench
 
-    payload = run_serving_bench(quick=True)
+    payload = run_serving_bench()
     path = tmp_path_factory.mktemp("sbench") / "BENCH_serving_numeric.json"
-    write_serving_bench_json(payload, path)
+    bench_io.write(payload, path)
     return payload, path
 
 
 class TestBenchCommand:
     """Exercise `repro bench` without re-running the 10s+ suite per test:
-    the module fixture runs it once and the suite is patched to reuse it."""
+    the module fixture runs it once and the suite is patched to reuse it
+    (replaying the traced events into the recorder the CLI passes)."""
 
     @pytest.fixture(autouse=True)
     def _reuse_payload(self, bench_payload, monkeypatch):
-        payload, path = bench_payload
-        monkeypatch.setattr(
-            "repro.bench.perf.run_perf_suite",
-            lambda *, quick=False, seed=0: copy.deepcopy(payload),
-        )
+        payload, path, events = bench_payload
+
+        def suite(*, seed=0, recorder=None):
+            if recorder is not None:
+                recorder.events.extend(events)
+            return copy.deepcopy(payload)
+
+        monkeypatch.setattr("repro.bench.perf.run_perf_suite", suite)
         self.payload, self.baseline_path = payload, path
 
     def test_writes_json_payload(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "-o", str(out_path)]) == 0
+        assert main(["bench", "-o", str(out_path)]) == 0
         written = json.loads(out_path.read_text())
         assert set(written) >= {"schema", "benchmarks"}
         assert set(written["benchmarks"]) >= {
@@ -201,14 +212,14 @@ class TestBenchCommand:
 
     def test_check_against_clean_baseline_passes(self, capsys):
         assert main(
-            ["bench", "--quick", "--check-against", str(self.baseline_path)]
+            ["bench", "--check-against", str(self.baseline_path)]
         ) == 0
         assert "no regression" in capsys.readouterr().out
 
     def test_check_against_missing_baseline_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(
-            ["bench", "--quick", "--check-against", str(missing)]
+            ["bench", "--check-against", str(missing)]
         ) == 2
         assert "cannot read baseline" in capsys.readouterr().err
 
@@ -219,18 +230,19 @@ class TestBenchCommand:
         slow["benchmarks"]["decode"]["after_tokens_per_s"] /= 100.0
         monkeypatch.setattr(
             "repro.bench.perf.run_perf_suite",
-            lambda *, quick=False, seed=0: slow,
+            lambda *, seed=0, recorder=None: slow,
         )
         assert main(
-            ["bench", "--quick", "--check-against", str(self.baseline_path)]
+            ["bench", "--check-against", str(self.baseline_path)]
         ) == 1
         assert "REGRESSION" in capsys.readouterr().err
 
     def test_trace_option_writes_kernel_phases(self, capsys, tmp_path):
         trace_path = tmp_path / "kernel.jsonl"
-        assert main(["bench", "--quick", "--trace", str(trace_path)]) == 0
-        assert trace_path.exists()
-        assert "kernel-phase events" in capsys.readouterr().out
+        assert main(["bench", "--trace", str(trace_path)]) == 0
+        assert trace_path.read_text().strip()
+        out = capsys.readouterr().out
+        assert "kernel-phase events" in out and "linear time split" in out
 
 
 @pytest.fixture(scope="module")
@@ -285,20 +297,39 @@ class TestDoctorCommand:
         assert "not a directory" in capsys.readouterr().err
 
     def test_bench_payload_validated(self, capsys, bench_payload, tmp_path):
-        _, path = bench_payload
+        _, path, _ = bench_payload
         assert main(["doctor", "--bench", str(path)]) == 0
         assert main(["doctor", "--bench", str(tmp_path / "missing.json")]) == 1
 
     def test_nonfinite_bench_metric_exits_1(self, capsys, bench_payload, tmp_path):
-        payload, _ = bench_payload
+        payload, _, _ = bench_payload
         bad = copy.deepcopy(payload)
         bad["benchmarks"]["decode"]["after_tokens_per_s"] = float("inf")
         bad_path = tmp_path / "BENCH_bad.json"
-        from repro.bench.perf import write_bench_json
+        from repro.bench import payload as bench_io
 
-        write_bench_json(bad, bad_path)
+        bench_io.write(bad, bad_path)
         assert main(["doctor", "--bench", str(bad_path)]) == 1
         assert "after_tokens_per_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [
+        "BENCH_inference.json", "BENCH_serving_numeric.json",
+        "BENCH_prefix_cache.json", "BENCH_pareto.json",
+    ])
+    def test_committed_baselines_healthy(self, capsys, name):
+        path = _COMMITTED / name
+        assert main(["doctor", "--bench", str(path)]) == 0
+        assert "all artifacts healthy" in capsys.readouterr().out
+
+    def test_nan_in_serving_batches_exits_1(self, capsys, tmp_path):
+        from repro.bench import payload as bench_io
+
+        bad = bench_io.read(_COMMITTED / "BENCH_serving_numeric.json")
+        bad["batches"][2]["tokens_per_s"] = float("nan")
+        bad_path = tmp_path / "BENCH_bad_serving.json"
+        bench_io.write(bad, bad_path)
+        assert main(["doctor", "--bench", str(bad_path)]) == 1
+        assert "batches[2].tokens_per_s is nan" in capsys.readouterr().err
 
     def test_results_dir_manifest_roundtrip(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ATOM_REPRO_RESULTS", str(tmp_path / "results"))
@@ -370,7 +401,7 @@ class TestServingBenchCommand:
         payload, path = serving_bench_payload
         monkeypatch.setattr(
             "repro.bench.serving_perf.run_serving_bench",
-            lambda *, quick=False, seed=0: copy.deepcopy(payload),
+            lambda *, seed=0: copy.deepcopy(payload),
         )
         self.payload, self.baseline_path = payload, path
 
@@ -382,7 +413,7 @@ class TestServingBenchCommand:
             build_parser().parse_args(["bench", "--serving", "--sequential"])
 
     def test_reports_curve_and_verification(self, capsys):
-        assert main(["bench", "--serving", "--quick"]) == 0
+        assert main(["bench", "--serving"]) == 0
         out = capsys.readouterr().out
         assert "batched decode" in out
         assert "bit-identical" in out
@@ -390,7 +421,7 @@ class TestServingBenchCommand:
     def test_writes_payload(self, capsys, tmp_path):
         out_path = tmp_path / "serving.json"
         assert main(
-            ["bench", "--serving", "--quick", "-o", str(out_path)]
+            ["bench", "--serving", "-o", str(out_path)]
         ) == 0
         written = json.loads(out_path.read_text())
         assert written["schema"].endswith("bench-serving-numeric/v1")
@@ -398,8 +429,7 @@ class TestServingBenchCommand:
 
     def test_check_against_clean_baseline_passes(self, capsys):
         assert main(
-            ["bench", "--serving", "--quick",
-             "--check-against", str(self.baseline_path)]
+            ["bench", "--serving", "--check-against", str(self.baseline_path)]
         ) == 0
         assert "no regression" in capsys.readouterr().out
 
@@ -409,13 +439,27 @@ class TestServingBenchCommand:
             p["tokens_per_s"] /= 100.0
         monkeypatch.setattr(
             "repro.bench.serving_perf.run_serving_bench",
-            lambda *, quick=False, seed=0: slow,
+            lambda *, seed=0: slow,
         )
         assert main(
-            ["bench", "--serving", "--quick",
-             "--check-against", str(self.baseline_path)]
+            ["bench", "--serving", "--check-against", str(self.baseline_path)]
         ) == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+    def test_cli_keeps_the_2x_bound(self, capsys, tmp_path):
+        """Without --max-slowdown the check's own 2x bound applies: a
+        baseline whose largest batch is 2.5x faster trips it, and an
+        explicit --max-slowdown 3 lets the same run pass."""
+        from repro.bench import payload as bench_io
+
+        fast = copy.deepcopy(self.payload)
+        max(fast["batches"], key=lambda p: p["batch"])["tokens_per_s"] *= 2.5
+        fast_path = tmp_path / "BENCH_fast.json"
+        bench_io.write(fast, fast_path)
+        argv = ["bench", "--serving", "--check-against", str(fast_path)]
+        assert main(argv) == 1
+        assert "regressed >2x" in capsys.readouterr().err
+        assert main(argv + ["--max-slowdown", "3"]) == 0
 
 
 def _pareto_row(name, *, w=4, a=4, kv=4, ppl=5.0, roofline=1000.0,
@@ -444,7 +488,6 @@ def pareto_payload():
     ]
     payload = {
         "schema": PARETO_BENCH_SCHEMA,
-        "quick": True,
         "model": {"zoo": "llama-7b-sim", "roofline_spec": "Llama-7B"},
         "host": {},
         "schemes": rows,
@@ -461,21 +504,21 @@ class TestParetoBenchCommand:
     def _reuse_payload(self, pareto_payload, monkeypatch, tmp_path):
         monkeypatch.setattr(
             "repro.bench.pareto.run_pareto_bench",
-            lambda *, quick=False, seed=0, model_name="llama-7b-sim",
+            lambda *, seed=0, model_name="llama-7b-sim",
             scheme_names=None: copy.deepcopy(pareto_payload),
         )
         self.payload = pareto_payload
-        from repro.bench.pareto import write_pareto_bench_json
+        from repro.bench import payload as bench_io
 
         self.baseline_path = tmp_path / "BENCH_pareto.json"
-        write_pareto_bench_json(pareto_payload, self.baseline_path)
+        bench_io.write(pareto_payload, self.baseline_path)
 
     def test_pareto_flag_parses(self):
-        args = build_parser().parse_args(["bench", "--pareto", "--quick"])
+        args = build_parser().parse_args(["bench", "--pareto"])
         assert args.pareto is True
 
     def test_prints_table_and_front(self, capsys):
-        assert main(["bench", "--pareto", "--quick"]) == 0
+        assert main(["bench", "--pareto"]) == 0
         out = capsys.readouterr().out
         assert "Pareto sweep" in out
         assert "Pareto front" in out
@@ -486,7 +529,7 @@ class TestParetoBenchCommand:
     def test_writes_payload(self, capsys, tmp_path):
         out_path = tmp_path / "pareto.json"
         assert main(
-            ["bench", "--pareto", "--quick", "-o", str(out_path)]
+            ["bench", "--pareto", "-o", str(out_path)]
         ) == 0
         written = json.loads(out_path.read_text())
         assert written["schema"].endswith("bench-pareto/v1")
@@ -496,14 +539,14 @@ class TestParetoBenchCommand:
 
     def test_check_against_clean_baseline_passes(self, capsys):
         assert main(
-            ["bench", "--pareto", "--quick",
+            ["bench", "--pareto",
              "--check-against", str(self.baseline_path)]
         ) == 0
         assert "no regression" in capsys.readouterr().out
 
     def test_check_against_missing_baseline_exits_2(self, capsys, tmp_path):
         assert main(
-            ["bench", "--pareto", "--quick",
+            ["bench", "--pareto",
              "--check-against", str(tmp_path / "nope.json")]
         ) == 2
         assert "cannot read baseline" in capsys.readouterr().err
@@ -517,11 +560,11 @@ class TestParetoBenchCommand:
                 r["roofline_tokens_per_s"] = 100.0  # below W8A8
         monkeypatch.setattr(
             "repro.bench.pareto.run_pareto_bench",
-            lambda *, quick=False, seed=0, model_name="llama-7b-sim",
+            lambda *, seed=0, model_name="llama-7b-sim",
             scheme_names=None: broken,
         )
         assert main(
-            ["bench", "--pareto", "--quick",
+            ["bench", "--pareto",
              "--check-against", str(self.baseline_path)]
         ) == 1
         err = capsys.readouterr().err

@@ -35,6 +35,7 @@ from chaos import (  # tests/serving/chaos.py (pytest adds this dir to sys.path)
     assert_open_loop_invariants,
     assert_prefix_invariants,
     cached_run,
+    chaos_scenario,
     cluster_fault_kinds,
     injected_fault_kinds,
     run_cluster_scenario,
@@ -529,19 +530,32 @@ class TestClusterGoldenIdentity:
             "N=1 no-fault cluster replica trace diverged from the golden"
         )
 
-    def test_result_matches_bare_engine(self):
+    @pytest.mark.parametrize(
+        "seed", [pytest.param(None, id="no-faults"), *SEEDS]
+    )
+    def test_result_matches_bare_engine(self, seed):
+        """``no-faults`` serves the golden workload; each chaos seed serves
+        its pinned scenario (engine faults, deadlines, both admission
+        modes), whose engine faults replay inside the lone replica."""
         from dataclasses import asdict
 
         from repro.serving import ClusterEngine
 
-        bare = self._golden_engine().run(self._requests())
-        clustered = ClusterEngine([self._golden_engine()]).run(
-            self._requests()
-        )
-        a, b = asdict(bare), asdict(clustered)
-        assert b.pop("cluster") is not None
-        a.pop("cluster")
-        assert a == b
+        def serve(wrap):
+            if seed is None:
+                engine, requests, plan = (
+                    self._golden_engine(), self._requests(), None
+                )
+            else:
+                requests, plan, kwargs = chaos_scenario(seed)
+                engine = ServingEngine(LLAMA_7B, kwargs.pop("scheme"), **kwargs)
+            return wrap(engine).run(requests, faults=plan)
+
+        bare = asdict(serve(lambda e: e))
+        clustered = asdict(serve(lambda e: ClusterEngine([e])))
+        assert clustered.pop("cluster") is not None
+        assert bare.pop("cluster") is None
+        assert bare == clustered
 
     def test_open_loop_fcfs_trace_matches_golden(self):
         """The front-end driving a 1-replica cluster with everything

@@ -8,10 +8,9 @@ baseline, without asserting absolute wall times (machine-dependent):
 - the payload matches the ``atom-repro/bench-inference/v1`` schema, one
   median wall time (``after_s``) and its IQR per benchmark;
 - the regression gate trips in the right direction and only that direction;
-- the committed baseline records the >=5x decode-throughput improvement the
-  vectorized engine made over the reference implementations that now live
-  in ``tests/core/reference.py`` (checked there by
-  ``tests/core/test_fast_path.py``).
+- the committed baseline measures the same workload and carries exactly
+  the keys a fresh payload has, so the gate compares a median with a
+  median.
 """
 
 from __future__ import annotations
@@ -96,6 +95,11 @@ class TestCommittedBaseline:
             DECODE_PROMPT, DECODE_STEPS
         )
 
-    def test_baseline_records_5x_decode_claim(self):
+    def test_baseline_has_the_fresh_payload_keys(self, payload):
+        """The committed baseline is what ``repro bench -o`` writes today:
+        the same top-level blocks and, per benchmark, the same keys."""
         base = bench_io.read(BASELINE, BENCH_SCHEMA)
-        assert base["benchmarks"]["decode"]["speedup"] >= 5.0
+        assert set(base) == set(payload)
+        assert {
+            name: set(b) for name, b in base["benchmarks"].items()
+        } == {name: set(b) for name, b in payload["benchmarks"].items()}

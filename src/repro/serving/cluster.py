@@ -46,9 +46,10 @@ event simulation over per-replica timelines).  Idle replicas are advanced
 to the cluster clock on dispatch; replicas returning from an
 unavailability window are advanced across the gap (downtime is wall time).
 :class:`ClusterRun` implements the same duck-typed stepping protocol as
-``EngineRun`` (``pending`` / ``step`` / ``advance_clock`` / side-channel
-logs), so :class:`~repro.serving.frontend.OpenLoopFrontend` drives a
-cluster exactly as it drives a single engine.
+``EngineRun`` (``pending`` / ``step`` / ``advance_clock`` / ``ledger``),
+so :class:`~repro.serving.frontend.OpenLoopFrontend` drives a cluster
+exactly as it drives a single engine; the replica runs write into the
+cluster's one :class:`~repro.serving.engine.RunLedger`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.serving.engine import ServingResult
+from repro.serving.engine import (
+    EngineRun,
+    RunLedger,
+    ServingResult,
+    aggregate_runs,
+)
 from repro.serving.faults import (
     FaultInjector,
     FaultPlan,
@@ -74,13 +80,11 @@ from repro.serving.telemetry import (
     RequestRouted,
     RequestShed,
     Telemetry,
-    weighted_mean,
-    weighted_percentile,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.sharegpt import Request
-    from repro.serving.engine import EngineRun, ServingEngine
+    from repro.serving.engine import ServingEngine
 
 __all__ = [
     "BaseRouter",
@@ -246,16 +250,10 @@ class _Replica:
         self.draining = False
         self.permanently_down = False
         self.slow_factor = 1.0  # cluster slow-window multiplier (injector)
-        self.last_clock = 0.0
-        # harvest cursors into the live run's side-channel logs
-        self.adm_idx = 0
-        self.term_idx = 0
-        self.ft_seen = 0
         # telemetry / result accounting
         self.routed = 0
         self.lost = 0  # in-flight requests lost to fencing
         self.transitions = 0
-        self.terminals: Counter = Counter()
 
 
 # --------------------------------------------------------------------------- #
@@ -265,9 +263,12 @@ class ClusterRun:
     """Mutable state of one cluster serving run, advanced per ``step()``.
 
     Speaks the ``EngineRun`` duck-type protocol (``pending`` / ``clock`` /
-    ``active`` / ``step`` / ``advance_clock`` / ``_shed`` plus the
-    side-channel logs), so both ``ClusterEngine.run`` and the open-loop
-    front-end can drive it interchangeably with a single engine.
+    ``active`` / ``step`` / ``advance_clock`` / ``_end`` / ``ledger``), so
+    both ``ClusterEngine.run`` and the open-loop front-end can drive it
+    interchangeably with a single engine.  Its :class:`RunLedger` is shared
+    with every replica run it starts: a replica records the admissions,
+    first tokens and terminals it sees, the cluster records its own
+    ``failed`` and cluster-wide ``shed`` terminals.
     """
 
     def __init__(
@@ -297,23 +298,18 @@ class ClusterRun:
         self.pending: deque = deque(requests)
         self.clock = 0.0
         self.round = 0
+        self.ledger = RunLedger()
+        #: rid -> the replica that holds the request, or that ended it.
+        self.assignment: dict[int, int] = {}
+        self.retries: dict[int, int] = {}  # rid -> in-flight losses so far
         self.replicas = [
             _Replica(i, eng) for i, eng in enumerate(cluster.engines)
         ]
         for rep in self.replicas:
             self._start_replica_run(rep, initial=True)
-        # -- cluster-wide request ledger ---------------------------------- #
-        self.terminal: dict[int, str] = {}
-        self.assignment: dict[int, int] = {}  # rid -> replica idx (live)
-        self.retries: dict[int, int] = {}  # rid -> in-flight losses so far
-        self.admission_log: list[tuple[int, float]] = []
-        self.terminal_log: list[tuple[int, str]] = []
-        self.first_token_s: dict[int, float] = {}
-        self.finish_s: dict[int, float] = {}
         # -- counters ------------------------------------------------------ #
-        self.rerouted_n = 0
-        self.failed_n = 0
-        self.cluster_shed_n = 0
+        self.reroutes = 0
+        self.cluster_sheds = 0
         self.fence_preempts = 0
         self.peak_concurrent = 0
         self.replica_fault_counts: Counter = Counter()
@@ -326,24 +322,21 @@ class ClusterRun:
             rep.run is not None and rep.run.active for rep in self.replicas
         )
 
-    def advance_clock(self, t: float) -> None:
-        """Idle-advance the cluster clock (open-loop arrival gaps)."""
-        if t < self.clock:
-            raise ValueError(
-                f"clock may not move backwards ({t} < {self.clock})"
-            )
-        self.clock = t
-        self.telemetry.set_clock(t)
+    advance_clock = EngineRun.advance_clock
 
-    def _shed(self, request_id: int, pages_required: int) -> None:
-        """Cluster-level shed (front-end queue caps / rate limiting)."""
-        self._cluster_terminal(request_id, "shed")
-        self.telemetry.emit(
-            RequestShed,
-            request_id=request_id,
-            pages_required=pages_required,
-            pages_total=self._max_headroom(),
-        )
+    def _end(
+        self, request_id: int, state: str, *, pages_required: int = 0
+    ) -> None:
+        """End a queued request at cluster level (``failed``, or a ``shed``
+        by dispatch, total outage or the front-end's admission control)."""
+        self.ledger.terminate(request_id, state, self.clock)
+        if state == "shed":
+            self.telemetry.emit(
+                RequestShed,
+                request_id=request_id,
+                pages_required=pages_required,
+                pages_total=self._max_headroom(),
+            )
 
     # -- internals ------------------------------------------------------- #
     def _max_headroom(self) -> int:
@@ -375,13 +368,11 @@ class ClusterRun:
                 plan if plan is not None else _EMPTY_PLAN, rep
             )
         run = rep.engine.start_run([], faults=injector)
+        run.ledger = self.ledger
         if self.clock > run.clock:
             run.advance_clock(self.clock)
         rep.run = run
         rep.runs.append(run)
-        rep.adm_idx = 0
-        rep.term_idx = 0
-        rep.ft_seen = 0
 
     def _transition(self, rep: _Replica, new: str, reason: str) -> None:
         old = rep.state
@@ -393,45 +384,6 @@ class ClusterRun:
             ReplicaStateChange, replica=rep.idx, old=old, new=new, reason=reason
         )
 
-    def _cluster_terminal(self, request_id: int, state: str) -> None:
-        if request_id in self.terminal:  # pragma: no cover - bug trap
-            raise AssertionError(
-                f"request {request_id} reached a second terminal state "
-                f"{state!r} after {self.terminal[request_id]!r}"
-            )
-        self.terminal[request_id] = state
-        self.terminal_log.append((request_id, state))
-        self.finish_s[request_id] = self.clock
-        self.assignment.pop(request_id, None)
-
-    def _harvest(self, rep: _Replica) -> None:
-        """Pull new admissions/terminals out of a replica's side channels
-        into the cluster-wide ledger (exactly-once per request)."""
-        run = rep.run
-        if run is None:
-            return
-        while rep.adm_idx < len(run.admission_log):
-            entry = run.admission_log[rep.adm_idx]
-            rep.adm_idx += 1
-            self.admission_log.append(entry)
-        while rep.term_idx < len(run.terminal_log):
-            rid, state = run.terminal_log[rep.term_idx]
-            rep.term_idx += 1
-            if rid in self.terminal:  # pragma: no cover - bug trap
-                raise AssertionError(
-                    f"request {rid} reached terminal {state!r} on replica "
-                    f"{rep.idx} after {self.terminal[rid]!r} elsewhere"
-                )
-            self.terminal[rid] = state
-            self.terminal_log.append((rid, state))
-            self.finish_s[rid] = run.finish_s[rid]
-            self.assignment.pop(rid, None)
-            rep.terminals[state] += 1
-        if len(run.first_token_s) != rep.ft_seen:
-            for rid, t in run.first_token_s.items():
-                self.first_token_s.setdefault(rid, t)
-            rep.ft_seen = len(run.first_token_s)
-
     def _requeue(self, req: "Request", rep: _Replica, *, burn: bool) -> None:
         """Return a lost request to the front of the cluster queue, or fail
         it terminally if its in-flight retry budget is exhausted."""
@@ -441,11 +393,10 @@ class ClusterRun:
         self.retries[rid] = n
         if burn and n > self.cluster.retry_budget:
             self.telemetry.emit(RequestFailed, request_id=rid, retries=n)
-            self._cluster_terminal(rid, "failed")
-            self.failed_n += 1
+            self._end(rid, "failed")
             return
         self.pending.appendleft(req)
-        self.rerouted_n += 1
+        self.reroutes += 1
         self.telemetry.emit(
             RequestRerouted, request_id=rid, from_replica=rep.idx, retries=n
         )
@@ -455,7 +406,6 @@ class ClusterRun:
         its requests (in-flight first, oldest-admitted first), retire the
         run.  The replica's allocator conserves pages through fencing —
         that is the per-replica half of the cluster conservation oracle."""
-        self._harvest(rep)
         run = rep.run
         lost_running: list = []
         lost_queued: list = []
@@ -467,7 +417,6 @@ class ClusterRun:
             lost_queued = list(run.pending)
             run.running.clear()
             run.pending.clear()
-            rep.last_clock = run.clock
             rep.run = None
         # Front of the cluster queue, final order: in-flight (oldest
         # admitted first), then queued, then whatever was already pending.
@@ -556,10 +505,7 @@ class ClusterRun:
                     self._transition(rep, "draining", "drain requested")
                 if rep.run is None or not rep.run.active:
                     # Drained dry: permanently out of the rotation.
-                    self._harvest(rep)
-                    if rep.run is not None:
-                        rep.last_clock = rep.run.clock
-                        rep.run = None
+                    rep.run = None
                     rep.permanently_down = True
                     self._transition(rep, "down", "drained")
                 continue
@@ -598,12 +544,12 @@ class ClusterRun:
             if not self._fits_somewhere(req):
                 # Cluster-wide shed: no surviving replica can ever admit it.
                 self.pending.popleft()
-                self.cluster_shed_n += 1
-                self._shed(
+                self.cluster_sheds += 1
+                alloc0 = self.replicas[0].engine._allocator
+                self._end(
                     req.request_id,
-                    self.replicas[0].engine._allocator.pages_for(
-                        req.total_len
-                    ),
+                    "shed",
+                    pages_required=alloc0.pages_for(req.total_len),
                 )
                 continue
             if not admissible:
@@ -641,8 +587,8 @@ class ClusterRun:
                 self._fence(rep, "total outage")
         while self.pending:
             req = self.pending.popleft()
-            self.cluster_shed_n += 1
-            self._shed(req.request_id, 0)
+            self.cluster_sheds += 1
+            self._end(req.request_id, "shed")
 
     def step(self) -> None:
         """Run one cluster round: faults → heartbeats → dispatch → step the
@@ -665,7 +611,6 @@ class ClusterRun:
             if rep.run.clock > self.clock:
                 self.clock = rep.run.clock
             rep.run.step()
-            self._harvest(rep)
             concurrent = sum(
                 len(r.run.running)
                 for r in self.replicas
@@ -697,52 +642,17 @@ class ClusterRun:
     def result(self) -> ServingResult:
         """Cluster-aggregate :class:`ServingResult`.
 
-        Scalars sum (tokens, iterations, preemptions), distributions
-        concatenate in replica/run order before the same weighted
-        aggregation the engine uses, and the ``cluster`` payload carries
-        the per-replica breakdown.  For a no-fault N=1 cluster every field
-        (except ``cluster`` itself and ``requested_batch`` semantics)
-        matches the bare engine's result exactly.
+        :func:`~repro.serving.engine.aggregate_runs` over every replica run
+        (replica order, then run order), plus the cluster's own terms and
+        the ``cluster`` payload with the per-replica breakdown.  For an
+        N=1 cluster every field except ``cluster`` matches the bare
+        engine's result exactly.
         """
-        cluster = self.cluster
-        runs: list[tuple[int, "EngineRun"]] = [
-            (rep.idx, run) for rep in self.replicas for run in rep.runs
-        ]
-        occupancy: list[int] = []
-        lat_samples: list[float] = []
-        lat_weights: list[int] = []
-        ttfts: list[float] = []
-        breakdown: dict[str, float] = {
-            "dense": 0.0,
-            "attention": 0.0,
-            "quant": 0.0,
-            "other": 0.0,
-        }
-        decode_tokens = delivered = iterations = preemptions = 0
-        alloc_retries = faults = 0
-        peak = self.peak_concurrent
-        memory_limited = False
-        for _, run in runs:
-            occupancy.extend(run.occupancy)
-            for t, n in run.latencies:
-                lat_samples.append(t)
-                lat_weights.append(n)
-            ttfts.extend(run.ttfts)
-            for k in breakdown:
-                breakdown[k] += run.breakdown[k]
-            decode_tokens += run.decode_tokens
-            delivered += run.delivered_tokens
-            iterations += run.iteration
-            preemptions += run.preemptions
-            alloc_retries += run.alloc_retries
-            faults += run.faults_injected
-            peak = max(peak, run.peak_batch)
-            memory_limited = memory_limited or run.memory_limited
-        counts = Counter(self.terminal.values())
-        total_time = max(
-            [self.clock] + [run.clock for _, run in runs] + [0.0]
+        # (replica idx, state) per terminal; None marks the cluster's own.
+        ended = Counter(
+            (self.assignment.get(rid), state)
+            for rid, state in self.ledger.terminal.items()
         )
-        engine0 = cluster.engines[0]
         replica_payload = [
             {
                 "replica": rep.idx,
@@ -753,7 +663,11 @@ class ClusterRun:
                 "transitions": rep.transitions,
                 "iterations": sum(r.iteration for r in rep.runs),
                 "preemptions": sum(r.preemptions for r in rep.runs),
-                "terminals": dict(sorted(rep.terminals.items())),
+                "terminals": dict(
+                    sorted(
+                        (s, n) for (i, s), n in ended.items() if i == rep.idx
+                    )
+                ),
                 "used_pages_end": rep.engine._allocator.used_pages,
                 "mean_occupancy": (
                     float(
@@ -767,53 +681,22 @@ class ClusterRun:
             }
             for rep in self.replicas
         ]
-        return ServingResult(
-            scheme=engine0.scheme.name,
-            requested_batch=sum(e.max_batch for e in cluster.engines),
-            achieved_batch=(
-                float(np.mean(occupancy)) if occupancy else 0.0
-            ),
-            max_batch=peak,
-            throughput_tokens_per_s=(
-                delivered / total_time if total_time else 0.0
-            ),
-            mean_decode_latency_s=weighted_mean(
-                lat_samples if lat_samples else [0.0],
-                lat_weights if lat_weights else [1],
-            ),
-            p99_decode_latency_s=(
-                weighted_percentile(lat_samples, lat_weights, 0.99)
-                if lat_samples
-                else 0.0
-            ),
-            mean_ttft_s=float(np.mean(ttfts)) if ttfts else 0.0,
-            total_time_s=total_time,
-            decode_tokens=decode_tokens,
-            completed_requests=counts.get("finished", 0),
-            preemptions=preemptions + self.fence_preempts,
-            memory_limited=memory_limited,
-            weights_gb=engine0.weights_bytes / 1e9,
-            kv_budget_gb=sum(e.kv_budget for e in cluster.engines) / 1e9,
-            time_breakdown=breakdown,
-            iterations=iterations,
-            timed_out=counts.get("timed_out", 0),
-            cancelled=counts.get("cancelled", 0),
-            shed=counts.get("shed", 0),
-            alloc_retries=alloc_retries,
-            faults_injected=faults + sum(self.replica_fault_counts.values()),
-            terminal_states=dict(self.terminal),
-            backend=engine0.backend.name,
-            decode_batch_hist=dict(sorted(Counter(occupancy).items())),
-            prefix_cache=None,
-            failed=counts.get("failed", 0),
-            rerouted=self.rerouted_n,
+        return aggregate_runs(
+            self.cluster.engines,
+            [run for rep in self.replicas for run in rep.runs],
+            self.ledger,
+            clock=self.clock,
+            peak=self.peak_concurrent,
+            preemptions=self.fence_preempts,
+            faults=sum(self.replica_fault_counts.values()),
+            rerouted=self.reroutes,
             cluster={
                 "n_replicas": len(self.replicas),
                 "router": self.router.name,
                 "rounds": self.round,
-                "reroutes": self.rerouted_n,
-                "failed": self.failed_n,
-                "cluster_shed": self.cluster_shed_n,
+                "reroutes": self.reroutes,
+                "failed": ended[None, "failed"],
+                "cluster_shed": self.cluster_sheds,
                 "fence_preempts": self.fence_preempts,
                 "state_transitions": sum(
                     rep.transitions for rep in self.replicas

@@ -82,6 +82,7 @@ from repro.serving.parallel import TPConfig, validate_shardable
 from repro.serving.schemes import QuantScheme
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
+    TIME_BREAKDOWN_KEYS,
     FaultInjected,
     IterationSample,
     RequestAdmitted,
@@ -101,6 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 
 __all__ = [
     "EngineRun",
+    "RunLedger",
     "ServingEngine",
     "ServingResult",
     "ShedError",
@@ -148,7 +150,12 @@ class ShedError(RuntimeError):
 
 @dataclass
 class ServingResult:
-    """Aggregate metrics of one serving run."""
+    """Aggregate metrics of one serving run, built by :func:`aggregate_runs`.
+
+    The per-state counts (``completed_requests``, ``timed_out``,
+    ``cancelled``, ``shed``, ``failed``) and ``terminal_states`` come from
+    the run's terminal ledger (:class:`RunLedger`).
+    """
 
     scheme: str
     requested_batch: int
@@ -389,20 +396,45 @@ class ServingEngine:
         return state.result()
 
 
+class RunLedger:
+    """The per-request record of one run: admissions, first tokens and the
+    one terminal state each request reaches.
+
+    A cluster run shares its ledger with every replica run it starts, so
+    each record is written once, by the run that saw it happen.  The
+    engine never reads it back; the open-loop front-end observes per-step
+    deltas through the append-only logs, and :func:`aggregate_runs` counts
+    terminal states from it.
+    """
+
+    def __init__(self) -> None:
+        self.admission_log: list[tuple[int, float]] = []
+        self.terminal_log: list[tuple[int, str]] = []
+        self.terminal: dict[int, str] = {}
+        self.first_token_s: dict[int, float] = {}
+        self.finish_s: dict[int, float] = {}
+
+    def terminate(self, request_id: int, state: str, t: float) -> None:
+        """Record ``state`` as the request's terminal state, at time ``t``."""
+        # Run-wide invariant: exactly one terminal state per request.
+        if request_id in self.terminal:  # pragma: no cover - internal bug trap
+            raise AssertionError(
+                f"request {request_id} reached a second terminal state "
+                f"{state!r} after {self.terminal[request_id]!r}"
+            )
+        self.terminal[request_id] = state
+        self.terminal_log.append((request_id, state))
+        self.finish_s[request_id] = t
+
+
 class EngineRun:
     """Mutable state of one serving run, advanced one iteration per ``step``.
 
-    Extracted verbatim from the historical ``ServingEngine.run`` loop body,
-    so a closed-loop drive (``while active: step()``) is bit-identical to
-    the pre-refactor engine — the golden traces pin this.  The open-loop
-    front-end (:mod:`repro.serving.frontend`) interleaves ``step()`` with
-    arrival injection into :attr:`pending` and :meth:`advance_clock` idles
-    across arrival gaps.
-
-    Side-channel records (``admission_log`` / ``terminal_log`` /
-    ``first_token_s`` / ``finish_s``) are append-only and never read by the
-    engine itself; they exist so the front-end can observe per-step deltas
-    without scanning dictionaries.
+    A closed-loop drive (``while active: step()``) is ``ServingEngine.run``.
+    The open-loop front-end (:mod:`repro.serving.frontend`) interleaves
+    ``step()`` with arrival injection into :attr:`pending`, and
+    :meth:`advance_clock` idles across arrival gaps.  Per-request records
+    go to :attr:`ledger`.
     """
 
     def __init__(
@@ -412,39 +444,31 @@ class EngineRun:
         injector: "FaultInjector | None",
     ) -> None:
         self.engine = engine
+        self.telemetry = engine.telemetry
         self.injector = injector
+        self.ledger = RunLedger()
         self.pending: deque[Request] = deque(requests)
         self.running: list[_Active] = []
         self.iteration = 0
         self.clock = 0.0
         self.decode_tokens = 0
         self.delivered_tokens = 0
-        self.completed = 0
         self.preemptions = 0
         self.latencies: list[tuple[float, int]] = []  # (iter time, decode n)
         self.ttfts: list[float] = []
         self.occupancy: list[int] = []
         self.peak_batch = 0
         self.memory_limited = False
-        self.breakdown = {
-            "dense": 0.0,
-            "attention": 0.0,
-            "quant": 0.0,
-            "other": 0.0,
-        }
-        self.terminal: dict[int, str] = {}
-        self.timed_out_n = 0
-        self.cancelled_n = 0
-        self.shed_n = 0
+        self.breakdown = dict.fromkeys(TIME_BREAKDOWN_KEYS, 0.0)
         self.alloc_retries = 0
         self.faults_injected = 0
         self.stall = 0  # consecutive zero-progress iterations (liveness)
         self.has_deadlines = engine.deadline_s is not None
-        # -- side-channel records for the open-loop front-end -------------- #
-        self.admission_log: list[tuple[int, float]] = []
-        self.terminal_log: list[tuple[int, str]] = []
-        self.first_token_s: dict[int, float] = {}
-        self.finish_s: dict[int, float] = {}
+
+    # The ledger's logs, read off the run by wall-clock drivers.
+    admission_log = property(lambda self: self.ledger.admission_log)
+    terminal_log = property(lambda self: self.ledger.terminal_log)
+    first_token_s = property(lambda self: self.ledger.first_token_s)
 
     @property
     def active(self) -> bool:
@@ -462,29 +486,50 @@ class EngineRun:
                 f"clock may not move backwards ({t} < {self.clock})"
             )
         self.clock = t
-        self.engine.telemetry.set_clock(t)
+        self.telemetry.set_clock(t)
 
     # ------------------------------------------------------------------ #
-    def _terminal(self, request_id: int, state: str) -> None:
-        # Engine-wide invariant: exactly one terminal state per request.
-        if request_id in self.terminal:  # pragma: no cover - internal bug trap
-            raise AssertionError(
-                f"request {request_id} reached a second terminal state "
-                f"{state!r} after {self.terminal[request_id]!r}"
-            )
-        self.terminal[request_id] = state
-        self.terminal_log.append((request_id, state))
-        self.finish_s[request_id] = self.clock
+    def _end(
+        self,
+        request_id: int,
+        state: str,
+        *,
+        in_flight: bool = False,
+        pages_required: int = 0,
+    ) -> None:
+        """End a request in terminal ``state``; the only terminal path.
 
-    def _shed(self, request_id: int, pages_required: int) -> None:
-        self._terminal(request_id, "shed")
-        self.shed_n += 1
-        self.engine.telemetry.emit(
-            RequestShed,
-            request_id=request_id,
-            pages_required=pages_required,
-            pages_total=self.engine._allocator.total_pages,
-        )
+        In flight, :meth:`release` frees its pages (and reports the reason)
+        before the terminal is recorded; queued, the terminal is recorded
+        and then the reason's event reports ``pages_freed=0``.  A shed
+        reports :class:`RequestShed` with the pages it needed instead.
+        Taking the request out of the batch or the queue stays with the
+        caller.
+        """
+        if in_flight:
+            self.release(request_id, state)
+        self.ledger.terminate(request_id, state, self.clock)
+        if state == "shed":
+            self.telemetry.emit(
+                RequestShed,
+                request_id=request_id,
+                pages_required=pages_required,
+                pages_total=self.engine._allocator.total_pages,
+            )
+        elif not in_flight:
+            self.telemetry.emit(
+                _RELEASE_EVENTS[state], request_id=request_id, pages_freed=0
+            )
+
+    def _end_where(self, state: str, doomed) -> None:
+        """End every in-flight, then every queued, request whose id
+        satisfies ``doomed``."""
+        for a in [a for a in self.running if doomed(a.request.request_id)]:
+            self.running.remove(a)
+            self._end(a.request.request_id, state, in_flight=True)
+        for r in [r for r in self.pending if doomed(r.request_id)]:
+            self.pending.remove(r)
+            self._end(r.request_id, state)
 
     def release(self, request_id: int, reason: str) -> int:
         """Return a live request's KV pages; the only release path.
@@ -502,7 +547,7 @@ class EngineRun:
         engine.backend.on_release(request_id, reason)
         event = _RELEASE_EVENTS.get(reason)
         if event is not None:
-            engine.telemetry.emit(
+            self.telemetry.emit(
                 event, request_id=request_id, pages_freed=freed
             )
         return freed
@@ -557,8 +602,8 @@ class EngineRun:
             if not injector.alloc_attempt_fails():
                 blocked = False
                 break
-        engine.telemetry.set_clock(self.clock)
-        engine.telemetry.emit(
+        self.telemetry.set_clock(self.clock)
+        self.telemetry.emit(
             FaultInjected, kind="alloc_fail", value=float(retries)
         )
         return blocked
@@ -569,7 +614,7 @@ class EngineRun:
         engine = self.engine
         alloc = engine._allocator
         cache = engine.prefix_cache
-        tel = engine.telemetry
+        tel = self.telemetry
         injector = self.injector
         pending = self.pending
         running = self.running
@@ -598,43 +643,14 @@ class EngineRun:
                     self._preempt(victim)
                     self.memory_limited = True
             for rid in injector.cancellations(self.iteration):
-                hit = next(
-                    (a for a in running if a.request.request_id == rid),
-                    None,
-                )
-                if hit is not None:
-                    running.remove(hit)
-                    self.release(rid, "cancelled")
-                    self._terminal(rid, "cancelled")
-                    self.cancelled_n += 1
-                    continue
-                queued = next(
-                    (r for r in pending if r.request_id == rid), None
-                )
-                if queued is not None:
-                    pending.remove(queued)
-                    self._terminal(rid, "cancelled")
-                    self.cancelled_n += 1
-                    tel.emit(RequestCancelled, request_id=rid, pages_freed=0)
+                self._end_where("cancelled", lambda x, rid=rid: x == rid)
 
         # --- Deadline sweep: queued or in-flight requests past their
         # deadline reach the timed_out terminal state.
         if self.has_deadlines:
-            for a in [x for x in running]:
-                rid = a.request.request_id
-                if self.clock > engine._deadline_for(rid):
-                    running.remove(a)
-                    self.release(rid, "timed_out")
-                    self._terminal(rid, "timed_out")
-                    self.timed_out_n += 1
-            for r in [x for x in pending]:
-                if self.clock > engine._deadline_for(r.request_id):
-                    pending.remove(r)
-                    self._terminal(r.request_id, "timed_out")
-                    self.timed_out_n += 1
-                    tel.emit(
-                        RequestTimedOut, request_id=r.request_id, pages_freed=0
-                    )
+            self._end_where(
+                "timed_out", lambda rid: self.clock > engine._deadline_for(rid)
+            )
 
         if not pending and not running:
             return  # cancellations/deadlines drained everything
@@ -709,7 +725,7 @@ class EngineRun:
                 engine.backend.on_admit(nxt, lease=lease)
             else:
                 engine.backend.on_admit(nxt)
-            self.admission_log.append((nxt.request_id, self.clock))
+            self.ledger.admission_log.append((nxt.request_id, self.clock))
         if not running:
             # Nothing in flight and the queue head could not be
             # admitted.  Decide between permanent (shed) and transient
@@ -719,7 +735,7 @@ class EngineRun:
             if need > engine.max_reserve_pages():
                 if engine.shed_policy == "drop":
                     pending.popleft()
-                    self._shed(nxt.request_id, need)
+                    self._end(nxt.request_id, "shed", pages_required=need)
                     self.iteration += 1
                     return
                 raise ShedError(nxt.request_id, need, alloc.total_pages)
@@ -730,7 +746,7 @@ class EngineRun:
             self.stall += 1
             if self.stall > engine.stall_limit:
                 pending.popleft()
-                self._shed(nxt.request_id, need)
+                self._end(nxt.request_id, "shed", pages_required=need)
                 self.stall = 0
             else:
                 self.clock += engine.backoff_base_s * min(
@@ -790,8 +806,9 @@ class EngineRun:
                         # its full lifetime exceeds the KV budget.
                         need = alloc.pages_for(a.request.total_len)
                         if engine.shed_policy == "drop":
-                            self.release(rid, "shed")
-                            self._shed(rid, need)
+                            self._end(
+                                rid, "shed", in_flight=True, pages_required=need
+                            )
                             preempted.add(rid)  # excluded from survivors
                             break
                         raise ShedError(rid, need, alloc.total_pages)
@@ -829,7 +846,11 @@ class EngineRun:
             self.stall += 1
             if self.stall > engine.stall_limit and pending:
                 nxt = pending.popleft()
-                self._shed(nxt.request_id, alloc.pages_for(nxt.total_len))
+                self._end(
+                    nxt.request_id,
+                    "shed",
+                    pages_required=alloc.pages_for(nxt.total_len),
+                )
                 self.stall = 0
             self.iteration += 1
             return
@@ -857,10 +878,8 @@ class EngineRun:
                 self.faults_injected += 1
                 tel.emit(FaultInjected, kind="straggler", value=factor)
         t_iter = timing.total
-        self.breakdown["dense"] += timing.t_dense
-        self.breakdown["attention"] += timing.t_attention
-        self.breakdown["quant"] += timing.t_quant
-        self.breakdown["other"] += timing.t_other
+        for k in TIME_BREAKDOWN_KEYS:
+            self.breakdown[k] += getattr(timing, "t_" + k)
         self.clock += t_iter
         tel.set_clock(self.clock)
 
@@ -890,7 +909,7 @@ class EngineRun:
                 a.context_len += 1
                 self.decode_tokens += 1
                 self.ttfts.append(self.clock)
-                self.first_token_s.setdefault(
+                self.ledger.first_token_s.setdefault(
                     a.request.request_id, self.clock
                 )
         batch_now = len(running)
@@ -911,9 +930,7 @@ class EngineRun:
                         a.request.prefill_len,
                         a.request.prefill_len + a.request.decode_len - 1,
                     )
-                self.release(rid, "finished")
-                self._terminal(rid, "finished")
-                self.completed += 1
+                self._end(rid, "finished", in_flight=True)
                 self.delivered_tokens += a.request.decode_len
             else:
                 still.append(a)
@@ -941,51 +958,83 @@ class EngineRun:
     # ------------------------------------------------------------------ #
     def result(self) -> ServingResult:
         """Aggregate metrics of the (drained) run."""
-        engine = self.engine
-        latencies = self.latencies
-        lat_samples = [t for t, _ in latencies] if latencies else [0.0]
-        lat_weights = [n for _, n in latencies] if latencies else [1]
-        mean_lat = weighted_mean(lat_samples, lat_weights)
-        p99 = (
+        cache = self.engine.prefix_cache
+        return aggregate_runs(
+            [self.engine],
+            [self],
+            self.ledger,
+            prefix_cache=(
+                cache.snapshot_stats().to_dict() if cache is not None else None
+            ),
+        )
+
+
+def aggregate_runs(
+    engines: "list[ServingEngine]",
+    runs: "list[EngineRun]",
+    ledger: RunLedger,
+    *,
+    clock: float = 0.0,
+    peak: int = 0,
+    preemptions: int = 0,
+    faults: int = 0,
+    **extra,
+) -> ServingResult:
+    """The one :class:`ServingResult` aggregation, over ``runs`` of
+    ``engines`` that recorded into ``ledger``.
+
+    Scalars sum over the runs; distributions (decode occupancy, per-step
+    latency, TTFT) concatenate in run order before the weighted
+    aggregation; terminal counts come from the ledger.  A single engine is
+    the one-run case.  A cluster adds its own clock (``clock``), peak
+    concurrency (``peak``), fence preemptions (``preemptions``) and
+    replica faults (``faults``), and passes ``rerouted`` and ``cluster``
+    through ``extra``.
+    """
+    occupancy = [n for run in runs for n in run.occupancy]
+    latencies = [x for run in runs for x in run.latencies]
+    ttfts = [t for run in runs for t in run.ttfts]
+    lat_samples = [t for t, _ in latencies] or [0.0]
+    lat_weights = [n for _, n in latencies] or [1]
+    total_time = max([clock] + [run.clock for run in runs])
+    delivered = sum(run.delivered_tokens for run in runs)
+    counts = Counter(ledger.terminal.values())
+    engine0 = engines[0]
+    return ServingResult(
+        scheme=engine0.scheme.name,
+        requested_batch=sum(e.max_batch for e in engines),
+        achieved_batch=float(np.mean(occupancy)) if occupancy else 0.0,
+        max_batch=max([peak] + [run.peak_batch for run in runs]),
+        throughput_tokens_per_s=(
+            delivered / total_time if total_time else 0.0
+        ),
+        mean_decode_latency_s=weighted_mean(lat_samples, lat_weights),
+        p99_decode_latency_s=(
             weighted_percentile(lat_samples, lat_weights, 0.99)
             if latencies
             else 0.0
-        )
-        return ServingResult(
-            scheme=engine.scheme.name,
-            requested_batch=engine.max_batch,
-            achieved_batch=(
-                float(np.mean(self.occupancy)) if self.occupancy else 0.0
-            ),
-            max_batch=self.peak_batch,
-            throughput_tokens_per_s=(
-                self.delivered_tokens / self.clock if self.clock else 0.0
-            ),
-            mean_decode_latency_s=mean_lat,
-            p99_decode_latency_s=p99,
-            mean_ttft_s=float(np.mean(self.ttfts)) if self.ttfts else 0.0,
-            total_time_s=self.clock,
-            decode_tokens=self.decode_tokens,
-            completed_requests=self.completed,
-            preemptions=self.preemptions,
-            memory_limited=self.memory_limited,
-            weights_gb=engine.weights_bytes / 1e9,
-            kv_budget_gb=engine.kv_budget / 1e9,
-            time_breakdown=self.breakdown,
-            iterations=self.iteration,
-            timed_out=self.timed_out_n,
-            cancelled=self.cancelled_n,
-            shed=self.shed_n,
-            alloc_retries=self.alloc_retries,
-            faults_injected=self.faults_injected,
-            terminal_states=self.terminal,
-            backend=engine.backend.name,
-            decode_batch_hist=dict(
-                sorted(Counter(self.occupancy).items())
-            ),
-            prefix_cache=(
-                engine.prefix_cache.snapshot_stats().to_dict()
-                if engine.prefix_cache is not None
-                else None
-            ),
-        )
+        ),
+        mean_ttft_s=float(np.mean(ttfts)) if ttfts else 0.0,
+        total_time_s=total_time,
+        decode_tokens=sum(run.decode_tokens for run in runs),
+        completed_requests=counts["finished"],
+        preemptions=preemptions + sum(run.preemptions for run in runs),
+        memory_limited=any(run.memory_limited for run in runs),
+        weights_gb=engine0.weights_bytes / 1e9,
+        kv_budget_gb=sum(e.kv_budget for e in engines) / 1e9,
+        time_breakdown={
+            k: sum(run.breakdown[k] for run in runs)
+            for k in TIME_BREAKDOWN_KEYS
+        },
+        iterations=sum(run.iteration for run in runs),
+        timed_out=counts["timed_out"],
+        cancelled=counts["cancelled"],
+        shed=counts["shed"],
+        failed=counts["failed"],
+        alloc_retries=sum(run.alloc_retries for run in runs),
+        faults_injected=faults + sum(run.faults_injected for run in runs),
+        terminal_states=dict(ledger.terminal),
+        backend=engine0.backend.name,
+        decode_batch_hist=dict(sorted(Counter(occupancy).items())),
+        **extra,
+    )

@@ -254,22 +254,19 @@ class OpenLoopFrontend:
         buckets: "dict[str, tuple[float, float]]" = {}
         idle_advances = 0
         idle_time = 0.0
-        adm_idx = 0
-        term_idx = 0
+        ledger = state.ledger
+        admits_seen = ends_seen = 0
 
         def process_deltas() -> None:
-            """Credit schedulers and drive interactions from the engine's
-            admission/terminal side-channels (called after every point that
-            can produce new entries: ``step()`` and frontend sheds)."""
-            nonlocal adm_idx, term_idx
-            while adm_idx < len(state.admission_log):
-                rid, t = state.admission_log[adm_idx]
-                adm_idx += 1
+            """Credit schedulers and drive interactions from the ledger's
+            new admission/terminal entries (called after every point that
+            can produce them: ``step()`` and frontend sheds)."""
+            nonlocal admits_seen, ends_seen
+            for rid, t in ledger.admission_log[admits_seen:]:
                 admitted_at.setdefault(rid, t)
                 scheduler.on_admit(subs[rid])
-            while term_idx < len(state.terminal_log):
-                rid, terminal_state = state.terminal_log[term_idx]
-                term_idx += 1
+            admits_seen = len(ledger.admission_log)
+            for rid, terminal_state in ledger.terminal_log[ends_seen:]:
                 sub = subs[rid]
                 scheduler.on_terminal(sub, terminal_state)
                 iid = sub.interaction_id
@@ -282,10 +279,11 @@ class OpenLoopFrontend:
                     submit(
                         inter,
                         sub.turn + 1,
-                        state.finish_s[rid] + inter.think_after(sub.turn),
+                        ledger.finish_s[rid] + inter.think_after(sub.turn),
                     )
                 else:
                     completed_inters.add(iid)
+            ends_seen = len(ledger.terminal_log)
 
         while True:
             # -- 1. arrivals whose time has come ------------------------- #
@@ -307,7 +305,7 @@ class OpenLoopFrontend:
                     )
                     if tokens < 1.0:
                         buckets[sub.tenant] = (tokens, sub.arrival_s)
-                        state._shed(sub.request_id, 0)
+                        state._end(sub.request_id, "shed")
                         rate_limited += 1
                         shed_on_arrival = True
                         continue
@@ -337,7 +335,7 @@ class OpenLoopFrontend:
                     and len(ordered) > self.max_queue
                 ):
                     for sub in ordered[self.max_queue:]:
-                        state._shed(sub.request_id, 0)
+                        state._end(sub.request_id, "shed")
                         frontend_shed += 1
                     ordered = ordered[: self.max_queue]
                     process_deltas()
@@ -360,7 +358,7 @@ class OpenLoopFrontend:
         # ------------------------------------------------------------------ #
         records = []
         for rid, sub in sorted(subs.items()):
-            terminal_state = state.terminal.get(rid)
+            terminal_state = ledger.terminal.get(rid)
             if terminal_state is None:  # pragma: no cover - drain bug trap
                 raise AssertionError(f"request {rid} never reached terminal")
             records.append(
@@ -369,9 +367,9 @@ class OpenLoopFrontend:
                     tenant=sub.tenant,
                     arrival_s=sub.arrival_s,
                     admitted_s=admitted_at.get(rid),
-                    first_token_s=state.first_token_s.get(rid),
+                    first_token_s=ledger.first_token_s.get(rid),
                     finish_s=(
-                        state.finish_s[rid]
+                        ledger.finish_s[rid]
                         if terminal_state == "finished"
                         else None
                     ),

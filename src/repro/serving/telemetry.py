@@ -51,6 +51,7 @@ __all__ = [
     "Telemetry",
     "TraceRecorder",
     "NULL_TELEMETRY",
+    "TIME_BREAKDOWN_KEYS",
     "TraceEvent",
     "RequestAdmitted",
     "RequestPreempted",
@@ -561,6 +562,11 @@ class TraceSummary:
         }
 
 
+#: The phases of ``ServingResult.time_breakdown``; each key ``k`` sums an
+#: iteration's ``t_<k>`` (a backend ``StepTiming`` or an ``IterationSample``).
+TIME_BREAKDOWN_KEYS = ("dense", "attention", "quant", "other")
+
+
 def summarize(events: Iterable[TraceEvent]) -> TraceSummary:
     """Aggregate a flat event list into a :class:`TraceSummary`.
 
@@ -570,13 +576,11 @@ def summarize(events: Iterable[TraceEvent]) -> TraceSummary:
     """
     events = list(events)
     samples = [e for e in events if isinstance(e, IterationSample)]
-    breakdown = {"dense": 0.0, "attention": 0.0, "quant": 0.0, "other": 0.0}
+    breakdown = dict.fromkeys(TIME_BREAKDOWN_KEYS, 0.0)
     comm = 0.0
     for s in samples:
-        breakdown["dense"] += s.t_dense
-        breakdown["attention"] += s.t_attention
-        breakdown["quant"] += s.t_quant
-        breakdown["other"] += s.t_other
+        for k in TIME_BREAKDOWN_KEYS:
+            breakdown[k] += getattr(s, "t_" + k)
         comm += s.t_comm
     decode = [s for s in samples if s.decode_batch > 0]
     lat = [s.t_iter for s in decode]

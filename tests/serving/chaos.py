@@ -588,7 +588,7 @@ def assert_cluster_invariants(run: ClusterChaosRun) -> None:
         f"{ctx}: terminal set mismatch: "
         f"{expected_ids ^ set(result.terminal_states)}"
     )
-    seen = [rid for rid, _ in state.terminal_log]
+    seen = [rid for rid, _ in state.ledger.terminal_log]
     assert len(seen) == len(set(seen)), f"{ctx}: duplicate terminal entries"
     counts = {
         "finished": result.completed_requests,

@@ -10,9 +10,10 @@ This is the substrate every quantization method in the repo plugs into:
   Atom's asymmetric per-head low-bit codec lives in
   :mod:`repro.core.kv_quant`.
 - KV *storage* is pluggable via ``kv_cache_factory``: any object honouring
-  the :class:`KVCache` protocol (``append(k, v) -> (k_view, v_view)``) can
-  back the per-layer incremental cache.  The default is the dense
-  preallocated :class:`KVCache`; the serving engine's numeric backend
+  the :class:`KVCache` protocol (``append(k, v) -> (k, v)``: the live
+  prefix followed by finite padding up to :func:`key_bucket` of the last
+  position) can back the per-layer incremental cache.  The default is the
+  dense preallocated :class:`KVCache`; the serving engine's numeric backend
   substitutes :class:`repro.serving.paged_kv.PagedKVCache` so one model
   definition runs over both dense and paged KV with identical numerics.
 
@@ -27,6 +28,15 @@ layer.
 Incremental decoding uses a preallocated, geometrically grown
 :class:`KVCache` per layer (write-in-place + length cursor) and executes GQA
 with broadcastable views rather than ``np.repeat``-materialized K/V.
+
+Attention has two kernels.  The flat :meth:`LlamaModel._attention_core`
+runs whole sequences at once (calibration, perplexity).  The rowwise
+:meth:`LlamaModel._attention_rows` serves decode, batched decode and
+rowwise prefill: a query row at absolute position ``p`` attends over keys
+padded to ``key_bucket(p)`` positions (padding masked to ``-inf``), and rows
+of one bucket stack into one call.  Every BLAS call a row makes then has a
+shape fixed by its position alone, so a row's bytes never depend on batch
+composition or prefill chunking.
 
 Linears that read the same activation run as ONE executor per input site:
 at install time their parts are fused along the output axis
@@ -75,6 +85,7 @@ __all__ = [
     "executor_site",
     "fuse_site",
     "input_site",
+    "key_bucket",
     "rowwise_matmul",
     "sample_token",
 ]
@@ -131,6 +142,16 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     request's accumulation order identical to its own B=1 execution.
     """
     return np.matmul(a[:, None, :], b)[:, 0]
+
+
+def key_bucket(position: int) -> int:
+    """Padded key length of a rowwise query row at absolute ``position``.
+
+    ``max(16, next_pow2(position + 1))``.  The rule is a fixed constant of
+    the kernel: rows with one bucket stack into one attention call, and a
+    row's BLAS shapes depend only on its bucket.
+    """
+    return max(16, 1 << int(position).bit_length())
 
 
 class SiteFusionError(ValueError):
@@ -254,11 +275,13 @@ class IdentityKVCodec(KVCodec):
 class KVCache:
     """Preallocated per-layer KV buffer: write-in-place + length cursor.
 
-    Replaces concatenate-per-step caching (O(n^2) copying over a decode) with
-    a geometrically grown buffer: appends write into spare capacity, and the
-    buffer at most doubles when it runs out, so total copying over a decode
-    of ``n`` tokens is O(n).  ``append`` returns zero-copy views of the live
-    prefix.
+    The buffer is zero-filled and always spans :func:`key_bucket` of the
+    last live position, so ``append`` returns zero-copy views of the live
+    prefix followed by zero padding: the operand the rowwise attention
+    kernel contracts over.  Buckets are powers of two, so the buffer at
+    least doubles when it grows and total copying over a decode of ``n``
+    tokens is O(n).  ``capacity`` is the first reservation (rounded up to
+    a key bucket); ``max_capacity`` bounds the live length.
     """
 
     __slots__ = ("k", "v", "length", "max_capacity")
@@ -275,40 +298,35 @@ class KVCache:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.max_capacity = max_capacity
-        if max_capacity is not None:
-            capacity = min(capacity, max_capacity)
-        self.k = np.empty((batch, n_kv_heads, capacity, head_dim), dtype=np.float32)
-        self.v = np.empty_like(self.k)
+        self.k = np.zeros(
+            (batch, n_kv_heads, key_bucket(capacity - 1), head_dim), dtype=np.float32
+        )
+        self.v = np.zeros_like(self.k)
         self.length = 0
 
     @property
     def capacity(self) -> int:
         return self.k.shape[2]
 
-    def _grow(self, need: int) -> None:
-        cap = max(need, 2 * self.capacity)
-        if self.max_capacity is not None:
-            cap = min(max(cap, need), self.max_capacity)
-        if cap < need:
+    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``(batch, kv_heads, t, head_dim)`` steps; return the live
+        prefix padded with zeros to ``key_bucket(length - 1)`` positions."""
+        need = self.length + k_new.shape[2]
+        if self.max_capacity is not None and need > self.max_capacity:
             raise ValueError(
                 f"KV cache needs {need} positions, max_capacity {self.max_capacity}"
             )
-        k = np.empty((*self.k.shape[:2], cap, self.k.shape[3]), dtype=self.k.dtype)
-        v = np.empty_like(k)
-        k[:, :, : self.length] = self.k[:, :, : self.length]
-        v[:, :, : self.length] = self.v[:, :, : self.length]
-        self.k, self.v = k, v
-
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write ``(batch, kv_heads, t, head_dim)`` steps; return live views."""
-        t = k_new.shape[2]
-        need = self.length + t
-        if need > self.capacity:
-            self._grow(need)
+        padded = key_bucket(need - 1)
+        if padded > self.capacity:
+            k = np.zeros((*self.k.shape[:2], padded, self.k.shape[3]), dtype=self.k.dtype)
+            v = np.zeros_like(k)
+            k[:, :, : self.length] = self.k[:, :, : self.length]
+            v[:, :, : self.length] = self.v[:, :, : self.length]
+            self.k, self.v = k, v
         self.k[:, :, self.length : need] = k_new
         self.v[:, :, self.length : need] = v_new
         self.length = need
-        return self.k[:, :, :need], self.v[:, :, :need]
+        return self.k[:, :, :padded], self.v[:, :, :padded]
 
 
 def sample_token(
@@ -463,12 +481,12 @@ class LlamaModel:
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
         q, k, v = self._site(f"{pre}.attn_in", x.reshape(b * t, c.dim), rowwise)
-        q = q.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+        q = q.reshape(b, t, h, hd)
         k = k.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
         v = v.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
-        cos = self._cos[pos_offset : pos_offset + t]
-        sin = self._sin[pos_offset : pos_offset + t]
-        q = self._rope_apply(q, cos, sin)
+        end = pos_offset + t
+        cos = self._cos[pos_offset:end]
+        sin = self._sin[pos_offset:end]
         k = self._rope_apply(k, cos, sin)
         # The KV-cache round-trips through the codec (quantized storage).
         k = self.kv_codec.encode_decode(k, "k").astype(np.float32)
@@ -478,8 +496,35 @@ class LlamaModel:
             if kv_cache is None:
                 kv_cache = cache[f"{pre}.kv"] = self._new_kv_cache(b, t)
             k, v = kv_cache.append(k, v)
-        out = self._attention_core(q, k, v, pos_offset=pos_offset, t=t, rowwise=rowwise)
-        (y,) = self._site(f"{pre}.attn_out", out.astype(np.float32), rowwise)
+        # A decode step (one token over a cache) is always a row, so it
+        # matches its row of forward_batch byte for byte.
+        if rowwise or (t == 1 and cache is not None):
+            # One kernel call per key bucket (consecutive positions, so each
+            # bucket is a run of rows).
+            q = self._rope_apply(q, cos[:, None], sin[:, None])
+            if cache is None:
+                if pos_offset:
+                    raise ValueError("rowwise attention without a cache starts at 0")
+                k, v = KVCache(b, kv, hd, capacity=t).append(k, v)
+            out = np.empty((b, t, h * hd), dtype=np.float32)
+            lo = 0
+            while lo < t:
+                lp = key_bucket(pos_offset + lo)
+                hi = min(t, lp - pos_offset)
+                out[:, lo:hi] = self._attention_rows(
+                    q[:, lo:hi],
+                    k[:, :, :lp],
+                    v[:, :, :lp],
+                    np.arange(pos_offset + lo, pos_offset + hi),
+                )
+                lo = hi
+            out = out.reshape(b * t, h * hd)
+        else:
+            q = self._rope_apply(q.transpose(0, 2, 1, 3), cos, sin)
+            out = self._attention_core(
+                q, k[:, :, :end], v[:, :, :end], pos_offset=pos_offset, t=t
+            ).astype(np.float32)
+        (y,) = self._site(f"{pre}.attn_out", out, rowwise)
         return y.reshape(b, t, c.dim)
 
     def _attention_core(
@@ -490,52 +535,26 @@ class LlamaModel:
         *,
         pos_offset: int,
         t: int,
-        rowwise: bool = False,
     ) -> np.ndarray:
-        """Scores -> causal mask -> softmax -> context over cached K/V.
+        """Flat attention: scores -> causal mask -> softmax -> context.
 
         ``q`` is ``(b, n_heads, t, head_dim)``; ``k``/``v`` are the full
-        cached sequences ``(b, kv_heads, t_kv, head_dim)``.  Returns the
-        pre-``wo`` context ``(b * t, n_heads * head_dim)``.  Every operation
-        reduces along trailing axes only (stacked matmuls, row-wise softmax),
-        so stacking independent sequences along ``b`` is bit-identical to
-        running them one at a time — the batched decode path reuses this
-        verbatim on per-context-length buckets of requests.
-
-        With ``rowwise=True`` the score and context matmuls additionally
-        contract each *query position* independently (an extra length-1
-        stacked axis per row), so row ``i`` of a multi-token prefill is
-        bit-identical to running positions ``<= i`` alone — the prefix-cache
-        property: resuming prefill at token ``m`` over cached K/V reproduces
-        the exact bytes of a cold full prefill.  At ``t == 1`` both forms
-        issue the same single-row GEMM, so decode bytes are unchanged.
+        sequences ``(b, kv_heads, t_kv, head_dim)``.  Returns the pre-``wo``
+        context ``(b * t, n_heads * head_dim)``.  The whole sequence runs as
+        one matmul per head, so a row's accumulation order depends on
+        ``t`` and ``t_kv``: this is the calibration / perplexity path.
+        Decode and position-invariant prefill run :meth:`_attention_rows`.
         """
         c = self.config
         b = q.shape[0]
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
-        grouped = kv != h
-        t_kv = k.shape[2]
-        if grouped:
-            # GQA without materializing repeated K/V: broadcast each KV head
-            # against its group of query heads inside a batched matmul.
-            g = h // kv
-            qg = q.reshape(b, kv, g, t, hd)
-            kt = k[:, :, None].transpose(0, 1, 2, 4, 3)
-            if rowwise:
-                scores = np.matmul(qg[:, :, :, :, None, :], kt[:, :, :, None, :, :])[
-                    :, :, :, :, 0
-                ] / np.sqrt(hd)
-            else:
-                scores = (qg @ kt) / np.sqrt(hd)
-            scores = scores.reshape(b, h, t, t_kv)
-        else:
-            kt = k.transpose(0, 1, 3, 2)
-            if rowwise:
-                scores = np.matmul(q[:, :, :, None, :], kt[:, :, None, :, :])[
-                    :, :, :, 0
-                ] / np.sqrt(hd)
-            else:
-                scores = (q @ kt) / np.sqrt(hd)
+        g, t_kv = h // kv, k.shape[2]
+        # GQA without materializing repeated K/V: broadcast each KV head
+        # against its group of query heads inside a batched matmul (MHA,
+        # g == 1, issues the same per-head products as a 4-D matmul).
+        kt = k[:, :, None].transpose(0, 1, 2, 4, 3)
+        scores = (q.reshape(b, kv, g, t, hd) @ kt) / np.sqrt(hd)
+        scores = scores.reshape(b, h, t, t_kv)
         # Causal mask: query i (at absolute position pos_offset+i) may attend
         # to keys up to that absolute position.
         q_pos = np.arange(pos_offset, pos_offset + t)[:, None]
@@ -544,21 +563,40 @@ class LlamaModel:
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         attn = e / e.sum(axis=-1, keepdims=True)
-        if grouped:
-            ag = attn.reshape(b, kv, g, t, t_kv)
-            vg = v[:, :, None]
-            if rowwise:
-                ctx = np.matmul(ag[:, :, :, :, None, :], vg[:, :, :, None, :, :])[
-                    :, :, :, :, 0
-                ]
-            else:
-                ctx = ag @ vg
-            ctx = ctx.reshape(b, h, t, hd)
-        elif rowwise:
-            ctx = np.matmul(attn[:, :, :, None, :], v[:, :, None, :, :])[:, :, :, 0]
-        else:
-            ctx = attn @ v
+        ctx = (attn.reshape(b, kv, g, t, t_kv) @ v[:, :, None]).reshape(b, h, t, hd)
         return ctx.transpose(0, 2, 1, 3).reshape(b * t, h * hd)
+
+    def _attention_rows(
+        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """The rowwise attention kernel over one key bucket.
+
+        ``q`` is ``(b, m, n_heads, head_dim)``: query rows ``(i, j)`` at
+        absolute positions ``positions``, shaped ``(m,)`` (the rows of one
+        prefill chunk, shared over ``b``) or ``(b,)`` (one decode row per
+        sequence, ``m == 1``).  ``k``/``v`` are ``(b, kv_heads, Lp,
+        head_dim)``: keys at positions ``0 .. Lp-1``, where ``Lp`` is the
+        rows' :func:`key_bucket`; keys past a row's position are masked to
+        ``-inf``, so padding only needs to be finite.  Returns the pre-``wo``
+        context ``(b, m, n_heads * head_dim)``.
+
+        Each row contracts through float32 ``(g, hd) @ (hd, Lp)`` and
+        ``(g, Lp) @ (Lp, hd)`` matmuls (gemv when ``g == 1``) and
+        elementwise or last-axis ops of length ``Lp``, so its bytes depend
+        on its own operands and ``Lp`` only, never on ``b``, ``m`` or the
+        live length.
+        """
+        b, m, h, hd = q.shape
+        kv = self.config.n_kv_heads
+        lp = k.shape[2]
+        qg = q.reshape(b, m, kv, h // kv, hd) * np.float32(1.0 / np.sqrt(hd))
+        scores = qg @ k[:, None].swapaxes(-1, -2)
+        dead = np.arange(lp) > np.reshape(positions, (-1, m, 1, 1, 1))
+        np.copyto(scores, -np.inf, where=dead)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return (scores @ v[:, None]).reshape(b, m, h * hd)
 
     def _attention_batch(
         self,
@@ -573,52 +611,32 @@ class LlamaModel:
         request ``j`` at absolute position ``positions[j]`` and its
         incremental KV in ``caches[j]``.  QKV/output projections run as one
         row-wise batched call each; RoPE broadcasts per-request tables; cache
-        appends go through :meth:`_append_kv_batch` (vectorized over a shared
-        paged store when possible); and attention itself runs
-        :meth:`_attention_core` per (context length, position) bucket, since
-        rows of equal shape stack bit-identically along the batch axis.
+        appends go through :meth:`_append_kv_batch`, which hands back the
+        requests grouped by :func:`key_bucket`; and each bucket runs one
+        :meth:`_attention_rows` call.
         """
         c = self.config
         b = x.shape[0]
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
         q, k, v = self._site(f"{pre}.attn_in", x.reshape(b, c.dim), rowwise=True)
-        q = q.reshape(b, 1, h, hd).transpose(0, 2, 1, 3)
-        k = k.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
-        v = v.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
-        # Per-request RoPE tables, broadcast over (heads, t=1) like the
-        # sequential path's (t, hd/2) tables broadcast over (b, heads).
+        # Per-request RoPE tables, broadcast over heads like the sequential
+        # path's (t, hd/2) tables broadcast over the batch.
         cos = self._cos[positions][:, None, None, :]
         sin = self._sin[positions][:, None, None, :]
-        q = self._rope_apply(q, cos, sin)
-        k = self._rope_apply(k, cos, sin)
+        q = self._rope_apply(q.reshape(b, 1, h, hd), cos, sin)
+        k = self._rope_apply(k.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3), cos, sin)
+        v = v.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
         k = self.kv_codec.encode_decode(k, "k").astype(np.float32)
         v = self.kv_codec.encode_decode(v, "v").astype(np.float32)
         key = f"{pre}.kv"
-        kv_caches = []
         for cache in caches:
-            kv_cache = cache.get(key)
-            if kv_cache is None:
-                kv_cache = cache[key] = self._new_kv_cache(1, 1)
-            kv_caches.append(kv_cache)
-        gathered = self._append_kv_batch(kv_caches, k, v)
-        # Ragged attention: bucket requests by (context length, position).
-        # Within a bucket every operand shape and mask is identical, so
-        # _attention_core stacks the rows bit-identically; bucket iteration
-        # order is first-occurrence order, and results scatter back into the
-        # original row order.
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for j in range(b):
-            bkey = (gathered[j][0].shape[2], int(positions[j]))
-            buckets.setdefault(bkey, []).append(j)
-        out = np.empty((b, h * hd), dtype=np.float32)
-        for (_, pos), rows in buckets.items():
-            kb = np.concatenate([gathered[j][0] for j in rows])
-            vb = np.concatenate([gathered[j][1] for j in rows])
-            out[rows] = self._attention_core(
-                q[rows], kb, vb, pos_offset=pos, t=1
-            ).astype(np.float32)
-        (y,) = self._site(f"{pre}.attn_out", out, rowwise=True)
+            if key not in cache:
+                cache[key] = self._new_kv_cache(1, 1)
+        out = np.empty((b, 1, h * hd), dtype=np.float32)
+        for rows, kb, vb in self._append_kv_batch([c[key] for c in caches], k, v):
+            out[rows] = self._attention_rows(q[rows], kb, vb, positions[rows])
+        (y,) = self._site(f"{pre}.attn_out", out.reshape(b, h * hd), rowwise=True)
         return y.reshape(b, 1, c.dim)
 
     def _new_kv_cache(self, batch: int, capacity: int):
@@ -637,15 +655,16 @@ class LlamaModel:
     @staticmethod
     def _append_kv_batch(
         kv_caches: list, k: np.ndarray, v: np.ndarray
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Append one token to each request's cache; return gathered views.
+    ) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
+        """Append one token to each request's cache; return the key buckets.
 
-        When every cache is the same type and that type offers an
-        ``append_batch`` classmethod (e.g.
-        :class:`repro.serving.paged_kv.PagedKVCache`), the whole batch is
-        written and gathered in vectorized store-level operations; otherwise
-        this falls back to per-request ``append`` calls.  Both produce the
-        exact values per-request appends would.
+        Each bucket is ``(rows, k, v)``: the indices of the requests whose
+        last position shares one :func:`key_bucket` ``Lp``, and their padded
+        K/V stacked as ``(len(rows), kv_heads, Lp, head_dim)``.  When every
+        cache is the same type and that type offers an ``append_batch``
+        classmethod (e.g. :class:`repro.serving.paged_kv.PagedKVCache`), it
+        writes and gathers the whole batch in store-level operations;
+        otherwise each request appends alone and is its own bucket.
         """
         cache_type = type(kv_caches[0])
         batch_append = getattr(cache_type, "append_batch", None)
@@ -654,7 +673,7 @@ class LlamaModel:
         ):
             return batch_append(kv_caches, k, v)
         return [
-            cache.append(k[j : j + 1], v[j : j + 1])
+            (np.asarray([j]), *cache.append(k[j : j + 1], v[j : j + 1]))
             for j, cache in enumerate(kv_caches)
         ]
 
@@ -708,8 +727,8 @@ class LlamaModel:
     ) -> np.ndarray:
         """One decoder layer: attention + FFN with residuals, (B, T, D) -> same.
 
-        ``rowwise=True`` routes every projection through the
-        batch-size-invariant per-row kernels (see :meth:`forward`); MoE
+        ``rowwise=True`` routes every projection and the attention through
+        the position-invariant per-row kernels (see :meth:`forward`); MoE
         routing stays on the flat path — the serving stack rejects MoE
         models, so position-invariant prefill is a dense-model contract.
         """
@@ -766,15 +785,18 @@ class LlamaModel:
         increasing ``pos_offset``.
 
         ``rowwise=True`` selects the *position-invariant* kernels: every
-        linear, the lm head, and the attention matmuls contract each token
-        row independently, so the hidden state (and cached K/V) at position
-        ``i`` depends only on tokens ``<= i`` — never on how many later
-        positions shared the call.  That makes chunked/resumed prefill
-        bit-identical to one-shot prefill, which is what lets the prefix
-        cache hand a request someone else's KV pages.  At ``t == 1`` the
-        rowwise kernels issue the same single-row GEMMs as the flat path,
-        so incremental decode is byte-identical either way.  The flat
-        default remains the calibration/perplexity path.
+        linear and the lm head contract each token row independently, and
+        attention runs :meth:`_attention_rows`, where the row at position
+        ``i`` contracts over keys padded to ``key_bucket(i)``.  The hidden
+        state (and cached K/V) at position ``i`` then depends only on tokens
+        ``<= i`` — never on how many positions shared the call.  That makes
+        chunked/resumed prefill bit-identical to one-shot prefill, which is
+        what lets the prefix cache hand a request someone else's KV pages.
+        A single-token step with a cache (decode) always runs the rowwise
+        attention, so it is byte-identical to its row of
+        :meth:`forward_batch`; its linears issue the same single-row GEMMs
+        either way.  The flat default remains the calibration/perplexity
+        path.  Rowwise attention without a cache requires ``pos_offset=0``.
         """
         c = self.config
         tokens = np.atleast_2d(np.asarray(tokens))
@@ -805,13 +827,13 @@ class LlamaModel:
         """Fused decode step for B *independent* sequences -> logits (B, V).
 
         Request ``j`` contributes its last token ``tokens[j]`` at absolute
-        position ``positions[j]`` with incremental KV ``caches[j]``; the
-        whole batch runs one row-wise batched linear per projection and
-        bucketed ragged attention per layer.  Row ``j`` of the result is
-        bit-identical to
+        position ``positions[j]`` with incremental KV ``caches[j]`` (holding
+        exactly ``positions[j]`` tokens); the whole batch runs one row-wise
+        batched linear per projection and one attention call per key bucket
+        per layer.  Row ``j`` of the result is bit-identical to
         ``forward([[tokens[j]]], pos_offset=positions[j], cache=caches[j])``
         — batch composition never changes any request's numerics (see
-        :func:`rowwise_matmul` and :meth:`_attention_core`).
+        :func:`rowwise_matmul` and :meth:`_attention_rows`).
         """
         c = self.config
         if c.is_moe:
@@ -880,8 +902,8 @@ class LlamaModel:
 
         The prompt pass runs the rowwise (position-invariant) kernels so the
         oracle's prefill bytes match the serving runner's chunked/prefix-
-        cached prefill exactly; decode steps are byte-identical under either
-        kernel set (t=1), so the flat default is kept there.
+        cached prefill exactly; decode steps (one token with a cache) run
+        the rowwise attention whatever ``rowwise`` says.
         """
         rng = np.random.default_rng(seed)
         tokens = list(np.asarray(prompt).ravel())

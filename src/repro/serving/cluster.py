@@ -697,6 +697,9 @@ class ClusterRun:
                 "reroutes": self.reroutes,
                 "failed": ended[None, "failed"],
                 "cluster_shed": self.cluster_sheds,
+                # Front-end admission control ends queued requests through
+                # _end too: the other unassigned sheds in the ledger.
+                "frontend_shed": ended[None, "shed"] - self.cluster_sheds,
                 "fence_preempts": self.fence_preempts,
                 "state_transitions": sum(
                     rep.transitions for rep in self.replicas

@@ -79,6 +79,7 @@ from repro.serving.hardware import GPUSpec, RTX_4090
 from repro.serving.models import ServingModelSpec
 from repro.serving.paged_kv import PagedKVAllocator
 from repro.serving.parallel import TPConfig, validate_shardable
+from repro.serving.prefix_cache import PrefixCacheStats
 from repro.serving.schemes import QuantScheme
 from repro.serving.telemetry import (
     NULL_TELEMETRY,
@@ -958,15 +959,7 @@ class EngineRun:
     # ------------------------------------------------------------------ #
     def result(self) -> ServingResult:
         """Aggregate metrics of the (drained) run."""
-        cache = self.engine.prefix_cache
-        return aggregate_runs(
-            [self.engine],
-            [self],
-            self.ledger,
-            prefix_cache=(
-                cache.snapshot_stats().to_dict() if cache is not None else None
-            ),
-        )
+        return aggregate_runs([self.engine], [self], self.ledger)
 
 
 def aggregate_runs(
@@ -985,11 +978,11 @@ def aggregate_runs(
 
     Scalars sum over the runs; distributions (decode occupancy, per-step
     latency, TTFT) concatenate in run order before the weighted
-    aggregation; terminal counts come from the ledger.  A single engine is
-    the one-run case.  A cluster adds its own clock (``clock``), peak
-    concurrency (``peak``), fence preemptions (``preemptions``) and
-    replica faults (``faults``), and passes ``rerouted`` and ``cluster``
-    through ``extra``.
+    aggregation; terminal counts come from the ledger; prefix-cache stats
+    sum over the engines' caches.  A single engine is the one-run case.  A
+    cluster adds its own clock (``clock``), peak concurrency (``peak``),
+    fence preemptions (``preemptions``) and replica faults (``faults``),
+    and passes ``rerouted`` and ``cluster`` through ``extra``.
     """
     occupancy = [n for run in runs for n in run.occupancy]
     latencies = [x for run in runs for x in run.latencies]
@@ -999,6 +992,7 @@ def aggregate_runs(
     total_time = max([clock] + [run.clock for run in runs])
     delivered = sum(run.delivered_tokens for run in runs)
     counts = Counter(ledger.terminal.values())
+    caches = [e.prefix_cache for e in engines if e.prefix_cache is not None]
     engine0 = engines[0]
     return ServingResult(
         scheme=engine0.scheme.name,
@@ -1036,5 +1030,10 @@ def aggregate_runs(
         terminal_states=dict(ledger.terminal),
         backend=engine0.backend.name,
         decode_batch_hist=dict(sorted(Counter(occupancy).items())),
+        prefix_cache=(
+            PrefixCacheStats.total([c.snapshot_stats() for c in caches]).to_dict()
+            if caches
+            else None
+        ),
         **extra,
     )

@@ -20,11 +20,13 @@ Three layers share the page machinery:
 
 Paged == dense equivalence: ``append`` writes the exact float32 values the
 dense cache would hold (the model applies its KV codec before appending),
-and ``gather`` reassembles them in token order into one contiguous array.
-Attention over the gathered array therefore consumes bit-identical operands
-to attention over the dense cache's views, which is what makes the numeric
-serving backend's tokens bit-identical to single-request
-``LlamaModel.generate``.
+and ``gather`` reads them back in token order, padded like the dense
+cache's views to :func:`~repro.models.llama.key_bucket` of the last
+position.  The padding is whatever finite values the pad pages hold; the
+attention kernel masks it, so attention over the gathered array computes
+bit-identical results to attention over the dense cache's views, which is
+what makes the numeric serving backend's tokens bit-identical to
+single-request ``LlamaModel.generate``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 
 import numpy as np
 
+from repro.models.llama import key_bucket
 from repro.serving.telemetry import NULL_TELEMETRY, PagePoolDelta, Telemetry
 
 __all__ = [
@@ -401,7 +404,8 @@ class PagedKVCache:
     """One (request, layer)'s KV sequence as a page table into a store.
 
     Implements the dense :class:`repro.models.llama.KVCache` protocol
-    (``append(k_new, v_new) -> (k_view, v_view)`` over the live prefix), so
+    (``append(k_new, v_new) -> (k, v)``: the live prefix, then finite
+    padding to :func:`~repro.models.llama.key_bucket` of the last position), so
     a model constructed with a ``kv_cache_factory`` returning these runs
     its attention over paged storage with no other change.
 
@@ -448,7 +452,7 @@ class PagedKVCache:
     def append(
         self, k_new: np.ndarray, v_new: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Write ``(1, kv_heads, t, head_dim)`` steps; return gathered views."""
+        """Write ``(1, kv_heads, t, head_dim)`` steps; return :meth:`gather`."""
         if k_new.shape[0] != 1:
             raise ValueError(
                 f"paged KV caches are per-request (batch 1), got batch "
@@ -497,33 +501,24 @@ class PagedKVCache:
         self.n_borrowed = pi
 
     def gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous ``(1, kv_heads, length, head_dim)`` K/V of the live prefix."""
-        st = self.store
-        k = np.empty(
-            (1, st.n_kv_heads, self.length, st.head_dim), dtype=np.float32
-        )
-        v = np.empty_like(k)
-        ps = st.page_size
-        for i, page_id in enumerate(self.pages):
-            lo = i * ps
-            take = min(ps, self.length - lo)
-            k[0, :, lo : lo + take] = st.page_k(page_id)[:, :take]
-            v[0, :, lo : lo + take] = st.page_v(page_id)[:, :take]
+        """``(1, kv_heads, Lp, head_dim)`` K/V: the live prefix, then finite
+        padding to ``Lp = key_bucket(length - 1)`` positions."""
+        ((_, k, v),) = self.gather_batch([self])
         return k, v
 
     # -- batched store-level operations (fused cross-request decode) ------ #
     @classmethod
     def append_batch(
         cls, caches: "list[PagedKVCache]", k_new: np.ndarray, v_new: np.ndarray
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
+    ) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
         """Append ONE token to each of B caches with one vectorized write.
 
         ``k_new``/``v_new`` are ``(B, kv_heads, 1, head_dim)``; row ``j``
         goes to ``caches[j]``.  Page allocation stays a (cheap) per-cache
         loop, then every row lands in its (page, slot) through a single
-        fancy-indexed store write.  Values written — and the gathered views
-        returned — are exactly those of per-cache ``append`` calls; caches
-        on different stores take the per-cache path.
+        fancy-indexed store write (caches on different stores append one by
+        one).  The values written are exactly those of per-cache ``append``
+        calls; returns :meth:`gather_batch`.
         """
         if k_new.shape[0] != len(caches) or k_new.shape[2] != 1:
             raise ValueError(
@@ -532,10 +527,9 @@ class PagedKVCache:
             )
         store = caches[0].store
         if any(c.store is not store for c in caches):
-            return [
+            for j, c in enumerate(caches):
                 c.append(k_new[j : j + 1], v_new[j : j + 1])
-                for j, c in enumerate(caches)
-            ]
+            return cls.gather_batch(caches)
         ps = store.page_size
         page_ids = np.empty(len(caches), dtype=np.intp)
         slots = np.empty(len(caches), dtype=np.intp)
@@ -556,37 +550,31 @@ class PagedKVCache:
     @classmethod
     def gather_batch(
         cls, caches: "list[PagedKVCache]"
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Gather B caches' live prefixes with one store-level page gather.
+    ) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
+        """Gather B caches grouped by key bucket, straight from the pool.
 
-        All pages of every cache come out of the pool in a single
-        fancy-indexed read each for K and V, then reassemble per cache in
-        token order.  Returns one ``(1, kv_heads, length, head_dim)`` pair
-        per cache with the same float32 values as per-cache :meth:`gather`.
+        Returns one ``(rows, k, v)`` per (store, ``Lp``) group in
+        first-occurrence order: ``rows`` indexes ``caches``, and ``k``/``v``
+        are ``(len(rows), kv_heads, Lp, head_dim)`` with ``Lp =
+        key_bucket(length - 1)``.  Each group is one fancy-indexed read over
+        its page tables padded to ``ceil(Lp / page_size)`` pages with page
+        0, whose (finite) contents only ever land in masked positions.
         """
-        store = caches[0].store
-        if any(c.store is not store for c in caches):
-            return [c.gather() for c in caches]
-        all_pages = np.asarray(
-            [pid for c in caches for pid in c.pages], dtype=np.intp
-        )
-        k_pages = store._k[all_pages]
-        v_pages = store._v[all_pages]
-        kvh, ps, hd = store.n_kv_heads, store.page_size, store.head_dim
+        groups: dict = {}
+        for j, cache in enumerate(caches):
+            key = (cache.store, key_bucket(cache.length - 1))
+            groups.setdefault(key, []).append(j)
         out = []
-        ofs = 0
-        for cache in caches:
-            n = len(cache.pages)
-            # (n, kvh, ps, hd) -> (1, kvh, n*ps, hd), truncated to the live
-            # prefix (the transpose-reshape makes the token axis contiguous).
-            k = k_pages[ofs : ofs + n].transpose(1, 0, 2, 3).reshape(
-                1, kvh, n * ps, hd
-            )[:, :, : cache.length]
-            v = v_pages[ofs : ofs + n].transpose(1, 0, 2, 3).reshape(
-                1, kvh, n * ps, hd
-            )[:, :, : cache.length]
-            out.append((k, v))
-            ofs += n
+        for (store, lp), rows in groups.items():
+            table = np.zeros((len(rows), 1, -(-lp // store.page_size)), dtype=np.intp)
+            for i, j in enumerate(rows):
+                table[i, 0, : len(caches[j].pages)] = caches[j].pages
+            # Indexing pages and heads together lays each head's tokens out
+            # contiguously: (rows, kv_heads, pages * page_size, head_dim).
+            idx = (table, np.arange(store.n_kv_heads)[:, None])
+            shape = (len(rows), store.n_kv_heads, -1, store.head_dim)
+            k, v = store._k[idx].reshape(shape), store._v[idx].reshape(shape)
+            out.append((np.asarray(rows), k[:, :, :lp], v[:, :, :lp]))
         return out
 
     def release(self) -> int:

@@ -50,7 +50,7 @@ conservation still audits to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -190,6 +190,11 @@ class PrefixCacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
+
+    @classmethod
+    def total(cls, stats: "list[PrefixCacheStats]") -> "PrefixCacheStats":
+        """Field-wise sum (one cache per cluster replica)."""
+        return cls(*map(sum, zip(*map(astuple, stats))))
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)

@@ -9,8 +9,8 @@ replaced, kept only as test oracles:
 - :class:`ConcatKVCache` — a KV cache that concatenates every step, plugged
   in through ``LlamaModel(kv_cache_factory=...)``;
 - :func:`repeat_gqa_attention` — attention over ``np.repeat``-materialized
-  K/V heads (:class:`ReferenceModel` runs it in place of
-  ``LlamaModel._attention_core``);
+  K/V heads (:class:`ReferenceModel` runs it in place of both attention
+  kernels, ``LlamaModel._attention_core`` and ``_attention_rows``);
 - :func:`quantize_sequential_full` — sequential calibration that re-runs a
   full forward of the partially quantized model per layer (O(L^2)).
 
@@ -135,7 +135,8 @@ def repeat_gqa_attention(
 
 
 class ReferenceModel(LlamaModel):
-    """LlamaModel whose attention is :func:`repeat_gqa_attention`.
+    """LlamaModel whose attention is :func:`repeat_gqa_attention`, on the
+    flat path and on the rowwise (decode / rowwise prefill) path.
 
     ``attention_calls`` counts invocations, so a test can show the oracle
     ran.
@@ -143,9 +144,27 @@ class ReferenceModel(LlamaModel):
 
     attention_calls = 0
 
-    def _attention_core(self, q, k, v, *, pos_offset, t, rowwise=False):
+    def _attention_core(self, q, k, v, *, pos_offset, t):
         self.attention_calls += 1
-        return repeat_gqa_attention(q, k, v, pos_offset=pos_offset, rowwise=rowwise)
+        return repeat_gqa_attention(q, k, v, pos_offset=pos_offset)
+
+    def _attention_rows(self, q, k, v, positions):
+        # Rows of one sequence sit at consecutive positions.
+        self.attention_calls += 1
+        b, m = q.shape[:2]
+        first = np.broadcast_to(np.reshape(positions, (-1, m)), (b, m))[:, 0]
+        return np.stack(
+            [
+                repeat_gqa_attention(
+                    q[i : i + 1].transpose(0, 2, 1, 3),
+                    k[i : i + 1],
+                    v[i : i + 1],
+                    pos_offset=int(first[i]),
+                    rowwise=True,
+                )
+                for i in range(b)
+            ]
+        )
 
 
 def reference_model(model: LlamaModel) -> ReferenceModel:

@@ -33,7 +33,7 @@ from repro.core.gptq import rtn_weight_quantize
 from repro.core.groups import GroupSlice, make_group_slices
 from repro.core.linear import AtomLinear
 from repro.models.config import ModelConfig
-from repro.models.llama import KVCache, LlamaModel
+from repro.models.llama import KVCache, LlamaModel, key_bucket
 from repro.serving.telemetry import IterationSample, TraceRecorder, summarize
 from reference import (  # tests/core/reference.py (pytest adds this dir to sys.path)
     ConcatKVCache,
@@ -244,8 +244,11 @@ class TestKVCache:
         k1 = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
         v1 = rng.normal(size=(2, 3, 5, 4)).astype(np.float32)
         k, v = c.append(k1, v1)
-        assert k.shape == (2, 3, 5, 4) and c.length == 5
-        np.testing.assert_array_equal(k, k1)
+        # The live prefix, then zero padding to the key bucket of position 4.
+        assert k.shape == (2, 3, key_bucket(4), 4) and c.length == 5
+        np.testing.assert_array_equal(k[:, :, :5], k1)
+        np.testing.assert_array_equal(v[:, :, :5], v1)
+        assert not k[:, :, 5:].any() and not v[:, :, 5:].any()
         assert k.base is c.k  # zero-copy view of the buffer
 
     def test_geometric_growth_preserves_prefix(self, rng):
@@ -254,24 +257,26 @@ class TestKVCache:
         for ch in chunks:
             k, v = c.append(ch, ch)
         assert c.length == 12 and c.capacity >= 12
-        np.testing.assert_array_equal(k, np.concatenate(chunks, axis=2))
+        np.testing.assert_array_equal(k[:, :, :12], np.concatenate(chunks, axis=2))
+        assert not k[:, :, 12:].any()
 
     def test_growth_is_geometric(self):
         c = KVCache(1, 1, 2, capacity=4)
         one = np.zeros((1, 1, 1, 2), dtype=np.float32)
         caps = set()
-        for _ in range(9):
+        for _ in range(40):
             c.append(one, one)
             caps.add(c.capacity)
-        # 9 single-token appends into capacity 4: grows 4 -> 8 -> 16 only.
-        assert caps == {4, 8, 16}
+        # 40 single-token appends: the buffer spans the key bucket of the
+        # last position, so it grows 16 -> 32 -> 64 only.
+        assert caps == {16, 32, 64}
 
     def test_max_capacity_clamps_and_raises(self):
         c = KVCache(1, 1, 2, capacity=2, max_capacity=4)
         step = np.zeros((1, 1, 2, 2), dtype=np.float32)
         c.append(step, step)
         c.append(step, step)
-        assert c.capacity == 4
+        assert c.length == 4
         with pytest.raises(ValueError, match="max_capacity"):
             c.append(step, step)
 
@@ -334,9 +339,19 @@ class TestReferenceAttention:
             np.float32
         )
         v = rng.normal(size=k.shape).astype(np.float32)
+        if rowwise:
+            # The rowwise kernel: query rows over keys zero-padded to the
+            # rows' key bucket (every position here is below 16).
+            pad = ((0, 0), (0, 0), (0, key_bucket(pos_offset + t - 1) - k.shape[2]),
+                   (0, 0))
+            got = model._attention_rows(
+                q.transpose(0, 2, 1, 3), np.pad(k, pad), np.pad(v, pad),
+                np.arange(pos_offset, pos_offset + t),
+            ).reshape(-1, cfg.dim)
+        else:
+            got = model._attention_core(q, k, v, pos_offset=pos_offset, t=t)
         np.testing.assert_allclose(
-            model._attention_core(q, k, v, pos_offset=pos_offset, t=t,
-                                  rowwise=rowwise),
+            got,
             repeat_gqa_attention(q, k, v, pos_offset=pos_offset,
                                  rowwise=rowwise),
             rtol=1e-5,

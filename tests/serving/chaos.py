@@ -45,6 +45,7 @@ from repro.serving import (
     ServingEngine,
     ServingResult,
     TraceRecorder,
+    poisson_interactions,
     sharegpt_interactions,
     summarize,
 )
@@ -513,6 +514,40 @@ def run_cluster_scenario(seed: int) -> ClusterChaosRun:
     )
 
 
+def run_cluster_open_loop(
+    seed: int, *, max_queue: int
+) -> "tuple[ClusterChaosRun, FrontendResult]":
+    """``cluster_scenario(seed)``'s replicas and requests, arriving as a
+    Poisson burst at an open-loop front-end with admission control at
+    ``max_queue`` (no faults).  The run's requests are the submissions."""
+    requests, _, n_replicas, ekw, ckw = cluster_scenario(seed)
+    inters = poisson_interactions(requests, rate=1000.0, seed=seed)
+    scheme = ekw.pop("scheme")
+    engines = [
+        ServingEngine(LLAMA_7B, scheme, telemetry=TraceRecorder(), **ekw)
+        for _ in range(n_replicas)
+    ]
+    recorder = TraceRecorder()
+    cluster = ClusterEngine(engines, telemetry=recorder, **ckw)
+    runs: "list[ClusterRun]" = []
+    start_run = cluster.start_run
+
+    def recording_start_run(*args, **kwargs):
+        runs.append(start_run(*args, **kwargs))
+        return runs[-1]
+
+    cluster.start_run = recording_start_run
+    res = OpenLoopFrontend(cluster, "fcfs", max_queue=max_queue).run(inters)
+    (state,) = runs
+    requests = [s.request for s in res.submissions]
+    return (
+        ClusterChaosRun(
+            seed, requests, FaultPlan(), cluster, recorder, state, res.serving
+        ),
+        res,
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Shared run cache
 # --------------------------------------------------------------------------- #
@@ -607,12 +642,16 @@ def assert_cluster_invariants(run: ClusterChaosRun) -> None:
         )
     assert sum(counts.values()) == len(run.requests), f"{ctx}: state leak"
     # Terminal authority partition: replica-harvested terminals plus the
-    # cluster's own (failed / cluster-shed) cover every request exactly.
+    # cluster's own (failed / cluster-shed) and the front-end's sheds cover
+    # every request exactly.
     replica_terminals = sum(
         sum(rep["terminals"].values()) for rep in payload["replicas"]
     )
     assert (
-        replica_terminals + payload["failed"] + payload["cluster_shed"]
+        replica_terminals
+        + payload["failed"]
+        + payload["cluster_shed"]
+        + payload["frontend_shed"]
         == len(run.requests)
     ), f"{ctx}: terminal authority partition leak"
 

@@ -25,7 +25,7 @@ from repro.bench.perf import build_bench_model
 from repro.bench.serving_perf import build_serving_bench_model
 from repro.data.sharegpt import Request
 from repro.models.config import ModelConfig
-from repro.models.llama import FloatLinear, rowwise_matmul
+from repro.models.llama import FloatLinear, key_bucket, rowwise_matmul
 from repro.serving import (
     SCHEMES,
     BatchedDecodeSample,
@@ -122,6 +122,19 @@ class TestForwardRowwise:
 # Paged KV batched ops == sequential ops
 # --------------------------------------------------------------------- #
 class TestPagedBatchOps:
+    @staticmethod
+    def _per_cache(buckets, caches):
+        """Per-cache ``(1, kv, Lp, hd)`` pairs out of the key buckets; every
+        row of a bucket shares its cache's ``key_bucket(length - 1)``."""
+        out = [None] * len(caches)
+        for rows, k, v in buckets:
+            for i, j in enumerate(rows):
+                assert k.shape[2] == key_bucket(caches[j].length - 1)
+                assert out[j] is None
+                out[j] = (k[i : i + 1], v[i : i + 1])
+        assert all(pair is not None for pair in out)
+        return out
+
     def _ragged_caches(self, store, lengths, *, seed=0):
         """Caches pre-filled to ragged lengths via sequential appends."""
         rng = np.random.default_rng(seed)
@@ -146,14 +159,22 @@ class TestPagedBatchOps:
         for step in range(6):
             k = rng.standard_normal((len(lengths), 2, 1, 8)).astype(np.float32)
             v = rng.standard_normal((len(lengths), 2, 1, 8)).astype(np.float32)
-            got = PagedKVCache.append_batch(batched, k, v)
+            got = self._per_cache(PagedKVCache.append_batch(batched, k, v), batched)
             want = [
                 c.append(k[j : j + 1], v[j : j + 1])
                 for j, c in enumerate(sequential)
             ]
+            # Live prefixes match; padding is whatever finite values the
+            # pad pages held when each gather ran.
             for j, ((gk, gv), (wk, wv)) in enumerate(zip(got, want)):
-                np.testing.assert_array_equal(gk, wk, err_msg=f"K cache {j}")
-                np.testing.assert_array_equal(gv, wv, err_msg=f"V cache {j}")
+                n = batched[j].length
+                assert gk.shape == wk.shape
+                np.testing.assert_array_equal(
+                    gk[:, :, :n], wk[:, :, :n], err_msg=f"K cache {j}"
+                )
+                np.testing.assert_array_equal(
+                    gv[:, :, :n], wv[:, :, :n], err_msg=f"V cache {j}"
+                )
         assert [c.length for c in batched] == [c.length for c in sequential]
         assert [len(c.pages) for c in batched] == [
             len(c.pages) for c in sequential
@@ -167,7 +188,7 @@ class TestPagedBatchOps:
         caches = [PagedKVCache(store) for _ in range(6)]
         rng = np.random.default_rng(3)
         k = rng.standard_normal((6, 2, 1, 8)).astype(np.float32)
-        got = PagedKVCache.append_batch(caches, k, -k)
+        got = self._per_cache(PagedKVCache.append_batch(caches, k, -k), caches)
         for j, (gk, gv) in enumerate(got):
             np.testing.assert_array_equal(gk[0, :, 0], k[j, :, 0])
             np.testing.assert_array_equal(gv, -gk)
@@ -176,7 +197,7 @@ class TestPagedBatchOps:
     def test_gather_batch_matches_gather(self):
         store = PagedKVStore(2, 8, page_size=4)
         caches = self._ragged_caches(store, [1, 4, 5, 9, 16], seed=4)
-        got = PagedKVCache.gather_batch(caches)
+        got = self._per_cache(PagedKVCache.gather_batch(caches), caches)
         for j, c in enumerate(caches):
             wk, wv = c.gather()
             np.testing.assert_array_equal(got[j][0], wk)
@@ -188,11 +209,11 @@ class TestPagedBatchOps:
         mixed = [PagedKVCache(store_a), PagedKVCache(store_b)]
         rng = np.random.default_rng(8)
         k = rng.standard_normal((2, 2, 1, 8)).astype(np.float32)
-        got = PagedKVCache.append_batch(mixed, k, -k)
+        got = self._per_cache(PagedKVCache.append_batch(mixed, k, -k), mixed)
         assert store_a.used_pages == 1 and store_b.used_pages == 1
         for j, (gk, gv) in enumerate(got):
             np.testing.assert_array_equal(gk[0, :, 0], k[j, :, 0])
-        pairs = PagedKVCache.gather_batch(mixed)
+        pairs = self._per_cache(PagedKVCache.gather_batch(mixed), mixed)
         for j, (gk, gv) in enumerate(pairs):
             np.testing.assert_array_equal(gk[0, :, 0], k[j, :, 0])
 

@@ -38,6 +38,7 @@ from chaos import (  # tests/serving/chaos.py (pytest adds this dir to sys.path)
     chaos_scenario,
     cluster_fault_kinds,
     injected_fault_kinds,
+    run_cluster_open_loop,
     run_cluster_scenario,
     run_open_loop_scenario,
     run_prefix_scenario,
@@ -478,6 +479,15 @@ class TestClusterChaos:
         plans = {self.scenario(s).plan for s in self.CLUSTER_SEEDS[:8]}
         assert len(plans) == 8
 
+    def test_open_loop_frontend_sheds_stay_in_the_partition(self):
+        """Front-end admission control ends queued requests through the
+        cluster's ledger with no replica assignment; the payload counts
+        them, so the terminal partition covers every submission."""
+        run, res = run_cluster_open_loop(3, max_queue=6)
+        assert res.frontend_shed > 0
+        assert run.result.cluster["frontend_shed"] == res.frontend_shed
+        assert_cluster_invariants(run)
+
     def test_sweep_covers_the_hard_regimes(self):
         """Collectively the pinned seeds must exercise re-routing, retry
         exhaustion (``failed``), cluster-wide shedding, and fencing."""
@@ -500,7 +510,7 @@ class TestClusterGoldenIdentity:
     aggregate result must match the bare engine's field-for-field (the
     ``cluster`` payload being the only addition)."""
 
-    def _golden_engine(self, rec=None):
+    def _golden_engine(self, rec=None, prefix_cache=None):
         from repro.serving import LLAMA_7B, SCHEMES, ClusterEngine
 
         return ServingEngine(
@@ -509,6 +519,7 @@ class TestClusterGoldenIdentity:
             max_batch=32,
             admission="reserve",
             telemetry=rec,
+            prefix_cache=prefix_cache,
         )
 
     def _requests(self):
@@ -531,20 +542,28 @@ class TestClusterGoldenIdentity:
         )
 
     @pytest.mark.parametrize(
-        "seed", [pytest.param(None, id="no-faults"), *SEEDS]
+        "seed",
+        [
+            pytest.param(None, id="no-faults"),
+            pytest.param("prefix", id="prefix-cache"),
+            *SEEDS,
+        ],
     )
     def test_result_matches_bare_engine(self, seed):
-        """``no-faults`` serves the golden workload; each chaos seed serves
-        its pinned scenario (engine faults, deadlines, both admission
-        modes), whose engine faults replay inside the lone replica."""
+        """``no-faults`` serves the golden workload, ``prefix-cache`` the
+        same through a radix prefix cache (whose stats the cluster sums
+        over its replicas); each chaos seed serves its pinned scenario
+        (engine faults, deadlines, both admission modes), whose engine
+        faults replay inside the lone replica."""
         from dataclasses import asdict
 
-        from repro.serving import ClusterEngine
+        from repro.serving import ClusterEngine, PrefixCache
 
         def serve(wrap):
-            if seed is None:
+            if seed in (None, "prefix"):
+                cache = PrefixCache(seed=0) if seed else None
                 engine, requests, plan = (
-                    self._golden_engine(), self._requests(), None
+                    self._golden_engine(prefix_cache=cache), self._requests(), None
                 )
             else:
                 requests, plan, kwargs = chaos_scenario(seed)
@@ -556,6 +575,8 @@ class TestClusterGoldenIdentity:
         assert clustered.pop("cluster") is not None
         assert bare.pop("cluster") is None
         assert bare == clustered
+        if seed == "prefix":
+            assert bare["prefix_cache"]["hits"] > 0
 
     def test_open_loop_fcfs_trace_matches_golden(self):
         """The front-end driving a 1-replica cluster with everything

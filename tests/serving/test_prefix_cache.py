@@ -297,8 +297,8 @@ class TestCopyOnWrite:
             np.testing.assert_array_equal(store.page_v(p), fv)
         # The borrower's view: donor's first 36 tokens, then its own.
         np.testing.assert_array_equal(gk[0, :, :36], k[0, :, :36])
-        np.testing.assert_array_equal(gk[0, :, 36:], bk[0])
-        np.testing.assert_array_equal(gv[0, :, 36:], bv[0])
+        np.testing.assert_array_equal(gk[0, :, 36:46], bk[0])
+        np.testing.assert_array_equal(gv[0, :, 36:46], bv[0])
         # COW replaced the boundary page only.
         assert borrower.pages[:2] == shared[:2]
         assert borrower.pages[2] != shared[2]
@@ -337,8 +337,8 @@ class TestCopyOnWrite:
         gb, _ = b.append(kb, kb)
         np.testing.assert_array_equal(ga[0, :, :17], k[0, :, :17])
         np.testing.assert_array_equal(gb[0, :, :17], k[0, :, :17])
-        np.testing.assert_array_equal(ga[0, :, 17:], ka[0])
-        np.testing.assert_array_equal(gb[0, :, 17:], kb[0])
+        np.testing.assert_array_equal(ga[0, :, 17:21], ka[0])
+        np.testing.assert_array_equal(gb[0, :, 17:21], kb[0])
         assert a.pages[1] != b.pages[1] != shared[1]
 
 

@@ -74,8 +74,9 @@ class DisassembledLinear(AtomLinear):
 
     def _prepare(self, x: np.ndarray) -> np.ndarray:
         # AtomLinear's perm is None: expand, then run its sliced quantized
-        # GEMM on the disassembled channels.
-        return super()._prepare(x)[:, self.col_map] * self.inv_mult
+        # GEMM on the disassembled channels (x / m rounded once to float32).
+        expanded = super()._prepare(x)[:, self.col_map] * self.inv_mult
+        return expanded.astype(np.float32)
 
     def activation_signature(self) -> tuple:
         return super().activation_signature() + (

@@ -9,7 +9,11 @@ of K and V) at the granularity of one (token, attention head) vector.
 
 The codec here is accuracy-exact with that scheme: ``encode_decode``
 round-trips values through the quantized representation, which is precisely
-what the serving kernel's store/load does.
+what the serving kernel's store/load does.  It works in float32, like the
+FP16 dequantization of the real kernel: each element comes back within
+half a code step (``scale / 2``) of its float32 input, plus float32
+rounding, and differs from a float64 codec only where the float64 value
+sits within that rounding of a code-step tie.
 """
 
 from __future__ import annotations
@@ -25,20 +29,38 @@ __all__ = ["AtomKVCodec", "quantize_kv_headwise"]
 def quantize_kv_headwise(
     kv: np.ndarray, bits: int, *, asymmetric: bool = True
 ) -> np.ndarray:
-    """Quantize-dequantize ``(..., head_dim)`` vectors independently."""
+    """Quantize-dequantize ``(..., head_dim)`` vectors independently; float32."""
+    q, scale, zero = _kv_codes(kv, bits, asymmetric)
+    q -= zero
+    q *= scale
+    return q
+
+
+def _kv_codes(
+    kv: np.ndarray, bits: int, asymmetric: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float32 ``(codes, scale, zero)`` of each ``(..., head_dim)`` vector:
+    ``codes - zero`` times ``scale`` dequantizes.  Asymmetric codes lie in
+    ``[umin, umax]``; symmetric ones in ``[qmin, qmax]`` with ``zero = 0``."""
     f = IntFormat(bits)
-    x = np.asarray(kv, dtype=np.float64)
+    x = np.asarray(kv, dtype=np.float32)
     if asymmetric:
-        xmax = x.max(axis=-1, keepdims=True)
         xmin = x.min(axis=-1, keepdims=True)
+        xmax = x.max(axis=-1, keepdims=True)
         scale = np.maximum((xmax - xmin) / (f.n_levels - 1), 1e-12)
-        zero = np.round(-xmin / scale)
-        q = np.clip(np.round(x / scale) + zero, f.umin, f.umax)
-        return (q - zero) * scale
-    amax = np.maximum(np.abs(x).max(axis=-1, keepdims=True), 1e-12)
-    scale = 2.0 * amax / (f.n_levels - 1)
-    q = np.clip(np.round(x / scale), f.qmin, f.qmax)
-    return q * scale
+        zero = np.rint(-xmin / scale)
+        lo, hi = f.umin, f.umax
+    else:
+        amax = np.maximum(np.abs(x).max(axis=-1, keepdims=True), 1e-12)
+        scale = 2.0 * amax / (f.n_levels - 1)
+        zero = np.zeros_like(scale)
+        lo, hi = f.qmin, f.qmax
+    q = x / scale
+    np.rint(q, out=q)
+    q += zero
+    np.minimum(q, hi, out=q)
+    np.maximum(q, lo, out=q)
+    return q, scale, zero
 
 
 class AtomKVCodec(KVCodec):

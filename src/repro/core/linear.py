@@ -20,20 +20,29 @@ vectorized pass over a ``(tokens, groups, width)`` view, each group on its
 own bit-width's grid (per-group ``qmin``/``qmax`` vectors, bit-identical to
 one pass per bit-width), and folds the per-token group scale into the codes;
 every slice's weight scale is folded into one precomputed ``(in_features,
-out)`` float64 block, so the folded activations of all buckets contract in
-ONE GEMM per call.  An Atom linear (INT4 body + INT8 tail) and a MixedBit
-linear (INT3/INT4 body + INT8 tier) with equal-width groups each run one
-quantize pass and one GEMM.  Linears sharing an input site are fused into
-one executor (:meth:`AtomLinear.fuse` stacks their codes and scales along
-the output axis), so one activation is reordered and quantized once for all
-of its consumers.  (A batched per-group integer MMA with a
+out)`` block, so the folded activations of all buckets contract in ONE GEMM
+per call.  An Atom linear (INT4 body + INT8 tail) and a MixedBit linear
+(INT3/INT4 body + INT8 tier) with equal-width groups each run one quantize
+pass and one GEMM.  Linears sharing an input site are fused into one
+executor (:meth:`AtomLinear.fuse` stacks their codes and scales along the
+output axis), so one activation is reordered and quantized once for all of
+its consumers.  (A batched per-group integer MMA with a
 scale-outer-product epilogue — the literal reading of Fig. 8 — was measured
 first: its ``(groups, tokens, out)`` partial tensor costs more memory
 traffic than the GEMM saves, and NumPy's batched matmul cannot fuse the
 epilogue the way a real kernel does.  Folding both scales into the operands
-moves the group reduction inside one BLAS call; the reassociation changes
-results by ~1e-15 normed relative vs a per-slice loop, the oracle in
-``tests/core/reference.py``.)
+moves the group reduction inside one BLAS call.)
+
+The whole path runs in float32, like the FP16 epilogue of the real kernel:
+the activation quantizer, the folded operands and the GEMM (the weight
+block is folded in float64 once, at construction, and stored as float32).
+The precision contract against the per-slice loop of
+``tests/core/reference.py`` (exact integer MMA, float64 epilogue) fed the
+same float32 input has two parts: the activation codes are bit-identical,
+and the output differs by at most ``gamma_n * (|qx| @ |w|)`` with
+``gamma_n = n*u / (1 - n*u)``, ``u = 2**-24`` and ``n = in_features + 2``
+(float32 reassociation of the ``in_features``-term contraction, plus the
+float32 roundings of the two folded operands).
 
 When a telemetry sink (:mod:`repro.serving.telemetry`) is attached via the
 ``telemetry`` attribute, each call emits one ``IterationSample`` with
@@ -106,7 +115,7 @@ def _int_grid(bits: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(1, groups, 1)`` vector."""
     fs = [IntFormat(b) for b in bits]
     return tuple(
-        np.array(vals, dtype=np.float64)[None, :, None]
+        np.array(vals, dtype=np.float32)[None, :, None]
         for vals in (
             [f.n_levels - 1 for f in fs],
             [f.qmin for f in fs],
@@ -191,14 +200,15 @@ class AtomLinear(LinearImpl):
             lo = hi
         # (in_features, out) block in bucket order: row r of slice i holds
         # codes[i][:, r] * scale[i] (raw weights for FP16 slices), so the
-        # per-group weight scales ride inside the single GEMM.
+        # per-group weight scales ride inside the single GEMM.  Folded in
+        # float64, stored in float32: one rounding per element.
         self._w = np.concatenate(
             [
                 w.codes[i].T.astype(np.float64)
                 * (1.0 if w.scales[i] is None else w.scales[i][:, 0])
                 for i in order
             ]
-        )
+        ).astype(np.float32)
 
     # ------------------------------------------------------------------ #
     # Site fusion
@@ -254,14 +264,15 @@ class AtomLinear(LinearImpl):
     # Forward
     # ------------------------------------------------------------------ #
     def _prepare(self, x: np.ndarray) -> np.ndarray:
-        """2-D float64 activations in the weight's (reordered) column order."""
-        x = np.asarray(x, dtype=np.float64)
+        """2-D float32 activations in the weight's (reordered) column order:
+        the input the quantizer sees (float64 input is rounded once, here)."""
+        x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise ValueError(f"expected 2-D activations, got shape {x.shape}")
         return x if self.perm is None else x[:, self.perm]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(self._prepare(x)).astype(np.float32)
+        return self._forward(self._prepare(x))
 
     def forward_rowwise(self, x: np.ndarray) -> np.ndarray:
         """Batch-size-invariant forward: row ``i`` == ``self(x[i:i+1])[0]``.
@@ -272,18 +283,33 @@ class AtomLinear(LinearImpl):
         accumulation order of its own single-row call regardless of how many
         requests share the batch.
         """
-        return self._forward(self._prepare(x), rowwise=True).astype(np.float32)
+        return self._forward(self._prepare(x), rowwise=True)
 
     def _forward(self, x: np.ndarray, *, rowwise: bool = False) -> np.ndarray:
-        """Vectorized pipeline; float64 output (pre-cast)."""
+        """Quantize, then ONE float32 GEMM against the scale-folded weight
+        block; ``x`` is :meth:`_prepare`'s output, the result float32."""
         t0 = time.perf_counter()
-        # ---- Phase 1: dynamic activation quantization, one pass per bucket #
+        qx = self._quantize(x)
+        t1 = time.perf_counter()
+        y = (rowwise_matmul if rowwise else np.matmul)(qx, self._w)
+        t2 = time.perf_counter()
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.iteration_sample(
+                t_quant=t1 - t0, t_dense=t2 - t1, t_iter=t2 - t0
+            )
+        return y
+
+    def _quantize(self, x: np.ndarray) -> np.ndarray:
+        """Dynamic activation quantization, one pass per bucket: the float32
+        ``(tokens, in_features)`` GEMM operand in bucket order, each code
+        folded with its per-token group scale (FP16 slices pass through)."""
         n = x.shape[0]
         xb = x if self._cols is None else x[:, self._cols]
         # Row-major operand: a permuted input is column-major, and a strided
         # row takes a different GEMM kernel than the same row alone, which
         # would break the forward_rowwise contract.
-        qx = np.empty((n, self._in))
+        qx = np.empty((n, self._in), dtype=np.float32)
         for lo, hi, groups, sig, grid in self._buckets:
             if sig is None:
                 qx[:, lo:hi] = xb[:, lo:hi]  # FP16 passthrough: no quantization
@@ -299,16 +325,7 @@ class AtomLinear(LinearImpl):
                 )
             # Fold the per-token group scale into the codes.
             qx[:, lo:hi] = (codes * scale).reshape(n, hi - lo)
-        t1 = time.perf_counter()
-        # ---- Phase 2: ONE GEMM against the scale-folded weight block ----- #
-        y = (rowwise_matmul if rowwise else np.matmul)(qx, self._w)
-        t2 = time.perf_counter()
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.iteration_sample(
-                t_quant=t1 - t0, t_dense=t2 - t1, t_iter=t2 - t0
-            )
-        return y
+        return qx
 
     # ------------------------------------------------------------------ #
     # Introspection

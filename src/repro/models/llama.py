@@ -553,7 +553,10 @@ class LlamaModel:
         # against its group of query heads inside a batched matmul (MHA,
         # g == 1, issues the same per-head products as a 4-D matmul).
         kt = k[:, :, None].transpose(0, 1, 2, 4, 3)
-        scores = (q.reshape(b, kv, g, t, hd) @ kt) / np.sqrt(hd)
+        # A float32 scale: dividing by np.sqrt(hd), a float64 scalar, would
+        # promote scores, softmax and context to float64.
+        qg = q.reshape(b, kv, g, t, hd) * np.float32(1.0 / np.sqrt(hd))
+        scores = qg @ kt
         scores = scores.reshape(b, h, t, t_kv)
         # Causal mask: query i (at absolute position pos_offset+i) may attend
         # to keys up to that absolute position.

@@ -4,8 +4,10 @@
 replaced, kept only as test oracles:
 
 - :func:`slice_loop_forward` — AtomLinear as one dynamic quantization and
-  one integer GEMM per channel slice (:class:`SliceLoopLinear` wraps it as a
-  model executor);
+  one exact integer GEMM per channel slice (:class:`SliceLoopLinear` wraps
+  it as a model executor), with :func:`slice_loop_operand` (its activation
+  codes) and :func:`float32_gemm_bound` (how far the float32 linear may
+  sit from it);
 - :class:`ConcatKVCache` — a KV cache that concatenates every step, plugged
   in through ``LlamaModel(kv_cache_factory=...)``;
 - :func:`repeat_gqa_attention` — attention over ``np.repeat``-materialized
@@ -28,25 +30,80 @@ from repro.core.linear import AtomLinear, _dynamic_act_quant
 from repro.models.llama import LinearImpl, LlamaModel
 
 
-def slice_loop_forward(lin: AtomLinear, x: np.ndarray) -> np.ndarray:
-    """``lin``'s pipeline as a per-slice loop; float64, pre-cast.
+U32 = 2.0**-24  # unit roundoff of float32
 
-    ``x`` is already in the weight's (reordered) column order.
-    """
-    y = np.zeros((x.shape[0], lin.out_features), dtype=np.float64)
+
+def _slice_quant(lin: AtomLinear, x: np.ndarray):
+    """Per slice of ``lin``: ``(slice, weight codes, weight scale, activation
+    codes, activation scale)``; an FP16 slice yields its raw activations
+    and two ``None`` scales."""
     w = lin.weight
     for s, codes, ws in zip(w.slices, w.codes, w.scales):
         xs = x[:, s.start : s.stop]
+        if ws is None:
+            yield s, codes, None, xs, None
+            continue
+        bits = lin.a_bits if not s.is_outlier else (s.bits or 8)
+        yield (s, codes, ws,
+               *_dynamic_act_quant(xs, bits, lin.act_clip, w.slice_fmt(s)))
+
+
+def slice_loop_forward(lin: AtomLinear, x: np.ndarray) -> np.ndarray:
+    """``lin``'s pipeline as a per-slice loop; float64 output, pre-cast.
+
+    ``x`` is already in the weight's (reordered) column order, normally
+    ``lin._prepare(...)``'s float32 output; the activations are quantized in
+    ``x``'s dtype.  Each slice contracts its codes in float64, which is
+    exact for integer codes (the int32 MMA), and the epilogue runs in
+    float64, so this is the float32 linear's real-number target.
+    """
+    y = np.zeros((x.shape[0], lin.out_features), dtype=np.float64)
+    for _, codes, ws, codes_x, scale in _slice_quant(lin, x):
         w_t = codes.astype(np.float64).T
         if ws is None:
             # FP16 slice: both operands stay high precision.
-            y += xs @ w_t
+            y += codes_x @ w_t
             continue
-        bits = lin.a_bits if not s.is_outlier else (s.bits or 8)
-        codes_x, scale = _dynamic_act_quant(xs, bits, lin.act_clip, w.slice_fmt(s))
         # Integer MMA + fused dequant-accumulate (Fig. 8 steps 1-3).
         y += (codes_x @ w_t) * scale * ws.T
     return y
+
+
+def slice_loop_operand(lin: AtomLinear, x: np.ndarray) -> np.ndarray:
+    """The float32 ``(tokens, in_features)`` GEMM operand of the slice loop
+    in the weight's column order: each slice's activation codes times their
+    per-token scale (FP16 slices pass through).
+
+    With equal scales the fold is injective in the code (codes are small
+    integers or grid values, far apart at float32 resolution), so a
+    bit-equal operand means bit-equal activation codes.
+    """
+    return np.concatenate(
+        [
+            (codes_x if scale is None else codes_x * scale).astype(np.float32)
+            for _, _, _, codes_x, scale in _slice_quant(lin, x)
+        ],
+        axis=1,
+    )
+
+
+def float32_gemm_bound(qx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Elementwise bound on ``|y - slice_loop_forward|`` for the float32
+    linear ``y = fl32(qx) @ fl32(w)`` with ``w`` the ``(in_features, out)``
+    scale-folded weight: ``gamma_n * (|qx| @ |w|)``.
+
+    A float32 dot product of ``K = in_features`` terms, in any summation
+    order (blocked, FMA or not), is within ``gamma_K * sum |a_k b_k|`` of the
+    exact one, ``gamma_n = n*u / (1 - n*u)``, ``u = 2**-24``: one rounding
+    for each product and at most ``K - 1`` for the additions on any term's
+    path.  The operands add one rounding each (the activation fold
+    ``code * scale`` and the float32 store of the float64 weight fold), so
+    ``n = K + 2``.  The oracle's own float64 error (~1e-16 relative) is
+    below the bound's resolution.
+    """
+    n = qx.shape[1] + 2
+    gamma = n * U32 / (1.0 - n * U32)
+    return gamma * (np.abs(qx).astype(np.float64) @ np.abs(w).astype(np.float64))
 
 
 class SliceLoopLinear(LinearImpl):
@@ -109,18 +166,20 @@ def repeat_gqa_attention(
 
     Same contract as ``LlamaModel._attention_core``: ``q`` is ``(b, heads,
     t, head_dim)``, ``k``/``v`` are ``(b, kv_heads, t_kv, head_dim)``, the
-    result is the ``(b * t, heads * head_dim)`` context.
+    result is the ``(b * t, heads * head_dim)`` context.  Like both kernels,
+    it scales ``q`` by a float32 ``1 / sqrt(head_dim)``, so float32 inputs
+    are attended in float32.
     """
     b, h, t, hd = q.shape
     g = h // k.shape[1]
     k = np.repeat(k, g, axis=1)
     v = np.repeat(v, g, axis=1)
     kt = k.transpose(0, 1, 3, 2)
+    q = q * np.float32(1.0 / np.sqrt(hd))
     if rowwise:
         scores = np.matmul(q[:, :, :, None, :], kt[:, :, None, :, :])[:, :, :, 0]
     else:
         scores = q @ kt
-    scores = scores / np.sqrt(hd)
     q_pos = np.arange(pos_offset, pos_offset + t)[:, None]
     k_pos = np.arange(k.shape[2])[None, :]
     scores = np.where(k_pos <= q_pos, scores, -np.inf)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.kv_quant import AtomKVCodec, quantize_kv_headwise
+from repro.core.kv_quant import AtomKVCodec, _kv_codes, quantize_kv_headwise
+from repro.quant.dtypes import IntFormat
+
+U32 = 2.0**-24  # unit roundoff of float32
 
 
 @pytest.fixture()
@@ -44,6 +47,90 @@ class TestQuantizeKVHeadwise:
     def test_constant_vector_exact(self):
         kv = np.full((1, 1, 2, 8), 3.14)
         np.testing.assert_allclose(quantize_kv_headwise(kv, 4), kv, atol=1e-6)
+
+
+def _kv_float64(x: np.ndarray, bits: int, asymmetric: bool):
+    """The codec in float64: ``(dequantized, x / scale, -xmin / scale,
+    scale)``, the last three the values it rounds and its step."""
+    f = IntFormat(bits)
+    if asymmetric:
+        xmin = x.min(axis=-1, keepdims=True)
+        scale = np.maximum((x.max(axis=-1, keepdims=True) - xmin)
+                           / (f.n_levels - 1), 1e-12)
+        zero = np.round(-xmin / scale)
+        q = np.clip(np.round(x / scale) + zero, f.umin, f.umax)
+        return (q - zero) * scale, x / scale, -xmin / scale, scale
+    amax = np.maximum(np.abs(x).max(axis=-1, keepdims=True), 1e-12)
+    scale = 2.0 * amax / (f.n_levels - 1)
+    q = np.clip(np.round(x / scale), f.qmin, f.qmax)
+    return q * scale, x / scale, np.zeros_like(scale), scale
+
+
+def _kv_inputs(rng) -> np.ndarray:
+    """Float32 (2, 4, 24, 32) KV: centred, offset (zero points far from 0),
+    constant, and vectors of exact half-steps of a 1/15 grid (ties)."""
+    kv = rng.normal(size=(2, 4, 24, 32))
+    kv[:, :, 6:12] += 40.0
+    kv[:, :, 12:14] = 3.14
+    kv[:, :, 14:] = (rng.integers(0, 15, size=(2, 4, 10, 32)) + 0.5) / 15
+    kv[:, :, 14:, 0], kv[:, :, 14:, 1] = 0.0, 1.0
+    return kv.astype(np.float32)
+
+
+class TestFloat32Codec:
+    """The float32 codec against its contract and a float64 reference."""
+
+    CODECS = [(b, a) for b in (2, 4, 8) for a in (True, False)]
+
+    @pytest.mark.parametrize("bits, asymmetric", CODECS)
+    def test_float32_in_float32_out(self, rng, bits, asymmetric):
+        kv = _kv_inputs(rng)
+        out = AtomKVCodec(bits, asymmetric=asymmetric).encode_decode(kv, "k")
+        assert out.dtype == np.float32 and out.shape == kv.shape
+        q, scale, zero = _kv_codes(kv, bits, asymmetric)
+        assert q.dtype == scale.dtype == zero.dtype == np.float32
+
+    @pytest.mark.parametrize("bits, asymmetric", CODECS)
+    def test_roundtrip_within_half_step(self, rng, bits, asymmetric):
+        kv = _kv_inputs(rng)
+        out = quantize_kv_headwise(kv, bits, asymmetric=asymmetric)
+        _, scale, _ = _kv_codes(kv, bits, asymmetric)
+        x = kv.astype(np.float64)
+        # Half a code step, plus the float32 roundings of x / scale and of
+        # the dequantization (a few ulps of the values involved).
+        slack = 4 * U32 * (np.abs(x) + np.abs(out) + scale)
+        assert np.all(np.abs(out - x) <= scale / 2 + slack)
+
+    @pytest.mark.parametrize("bits, asymmetric", CODECS)
+    def test_codes_in_range(self, rng, bits, asymmetric):
+        f = IntFormat(bits)
+        q, _, zero = _kv_codes(_kv_inputs(rng), bits, asymmetric)
+        np.testing.assert_array_equal(q, np.rint(q))
+        lo, hi = (f.umin, f.umax) if asymmetric else (f.qmin, f.qmax)
+        assert q.min() >= lo and q.max() <= hi
+        if not asymmetric:
+            assert not zero.any()
+
+    @pytest.mark.parametrize("bits, asymmetric", CODECS)
+    def test_differs_from_float64_only_at_ties(self, rng, bits, asymmetric):
+        kv = _kv_inputs(rng)
+        out = quantize_kv_headwise(kv, bits, asymmetric=asymmetric)
+        ref, v, z, scale = _kv_float64(kv.astype(np.float64), bits, asymmetric)
+        steps = (out - ref) / scale
+        whole = np.rint(steps)
+        # Whole code steps, up to float32 rounding of the dequantization.
+        tol = 8 * U32 * (np.abs(v) + np.abs(z) + 2**bits)
+        assert np.all(np.abs(steps - whole) <= tol)
+        assert np.all(np.abs(whole) <= 1)
+
+        def at_tie(u):  # within float32 rounding of a half-integer
+            return np.abs(np.abs(u - np.floor(u)) - 0.5) <= tol
+
+        # A code moves only where x / scale or the zero point -xmin / scale
+        # is a tie; elsewhere the float32 codec gives the float64 codes.
+        moved = whole != 0
+        tie = at_tie(v) | at_tie(z)
+        assert np.all(tie[moved])
 
 
 class TestAtomKVCodec:

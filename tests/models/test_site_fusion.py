@@ -3,9 +3,12 @@
 ``LlamaModel`` runs every linear that reads one activation (``wq``/``wk``/
 ``wv``; ``w_gate``/``w_up``) as ONE executor whose output is the column
 concatenation of the parts' outputs.  This suite pins that contract for
-every :class:`~repro.models.llama.LinearImpl` class, the typed error for
-parts that read their input differently, re-fusion on replacement, and
-checkpoint round-trips through the fused model.
+every :class:`~repro.models.llama.LinearImpl` class (for the float32
+quantized linears: bit-equal activation codes, and outputs within the
+float32 GEMM bound of ``tests/core/reference.py``; byte-equal on the
+serving-bench models), the typed error for parts that read their input
+differently, re-fusion on replacement, and checkpoint round-trips through
+the fused model.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from repro.core.linear import AtomLinear, QuantLinear
 from repro.models.config import ModelConfig
 from repro.models.llama import FloatLinear, SiteFusionError, fuse_site
 from repro.serving import SCHEMES
+from core.reference import (  # tests/core/reference.py (pytest puts tests/ on sys.path)
+    float32_gemm_bound,
+    slice_loop_forward,
+    slice_loop_operand,
+)
 
 K = 48
 OUTS = (24, 8, 8)  # q/k/v-like: parts of unequal width
@@ -99,11 +107,29 @@ class TestFusedEqualsParts:
         assert fused.out_features == sum(OUTS)
         assert fused.in_features == K
         x = rng.normal(size=(rows, K)).astype(np.float32)
+        quantized = isinstance(fused, AtomLinear)
+        if quantized:
+            # One activation quantization serves every part: the fused
+            # codes are each part's, bit for bit.
+            xr = fused._prepare(x)
+            qx = fused._quantize(xr)
+            for p in parts:
+                np.testing.assert_array_equal(p._quantize(p._prepare(x)), qx)
+            # Float32 GEMMs of different widths may round differently, so
+            # the fused output and the parts' both sit within the derived
+            # bound of the fused slice loop.
+            ref = slice_loop_forward(fused, xr)
+            bound = float32_gemm_bound(
+                slice_loop_operand(fused, xr), fused.weight.dequantize().T
+            )
         for method in ("__call__", "forward_rowwise"):
             want = np.concatenate([getattr(p, method)(x) for p in parts], axis=1)
-            np.testing.assert_allclose(
-                getattr(fused, method)(x), want, rtol=0, atol=1e-12
-            )
+            got = getattr(fused, method)(x)
+            if quantized:
+                for y in (got, want):
+                    assert np.all(np.abs(y - ref) <= bound)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_single_part_is_its_own_executor(self):
         part = FloatLinear(np.ones((4, 4), dtype=np.float32))

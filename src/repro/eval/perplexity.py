@@ -62,14 +62,9 @@ def nll_per_token(
             count += n_pred
             continue
         # Sliding window: score only the last `step` targets per window.
-        logits = model.forward(batch[:, :-1]).astype(np.float64)
-        targets = batch[:, 1:]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=-1))
-        tgt = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-        nll = (logz - tgt)[:, -step:]
-        total += float(nll.sum())
-        count += nll.size
+        token_lp = model.token_logprobs(batch)[:, -step:]
+        total -= float(token_lp.sum())
+        count += token_lp.size
     return total / count
 
 

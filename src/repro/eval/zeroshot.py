@@ -45,11 +45,7 @@ def score_sequences(
         batch = np.zeros((len(seqs), t_max), dtype=np.int64)
         for r, s in enumerate(seqs):
             batch[r, : len(s)] = s
-        logits = model.forward(batch[:, :-1]).astype(np.float64)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        targets = batch[:, 1:]
-        token_lp = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+        token_lp = model.token_logprobs(batch)
         for r, i in enumerate(idx):
             begin = max(starts[i] - 1, 0)  # logit at j predicts token j+1
             end = len(sequences[i]) - 1

@@ -29,14 +29,15 @@ Incremental decoding uses a preallocated, geometrically grown
 :class:`KVCache` per layer (write-in-place + length cursor) and executes GQA
 with broadcastable views rather than ``np.repeat``-materialized K/V.
 
-Attention has two kernels.  The flat :meth:`LlamaModel._attention_core`
-runs whole sequences at once (calibration, perplexity).  The rowwise
-:meth:`LlamaModel._attention_rows` serves decode, batched decode and
-rowwise prefill: a query row at absolute position ``p`` attends over keys
-padded to ``key_bucket(p)`` positions (padding masked to ``-inf``), and rows
-of one bucket stack into one call.  Every BLAS call a row makes then has a
-shape fixed by its position alone, so a row's bytes never depend on batch
-composition or prefill chunking.
+Attention has one kernel, :meth:`LlamaModel._attention_rows`, which serves
+every forward: whole-sequence passes (calibration, perplexity, scoring),
+prefill chunks, decode and batched decode.  A query row at absolute
+position ``p`` attends over keys padded to ``key_bucket(p)`` positions
+(padding masked to ``-inf``), and rows of one bucket stack into one call.
+Every BLAS call a row makes then has a shape fixed by its position alone,
+so a row's attention bytes never depend on batch composition or prefill
+chunking.  A pass without a cache appends its K/V to a throwaway dense
+:class:`KVCache`.
 
 Linears that read the same activation run as ONE executor per input site:
 at install time their parts are fused along the output axis
@@ -145,7 +146,7 @@ def rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def key_bucket(position: int) -> int:
-    """Padded key length of a rowwise query row at absolute ``position``.
+    """Padded key length of an attention query row at absolute ``position``.
 
     ``max(16, next_pow2(position + 1))``.  The rule is a fixed constant of
     the kernel: rows with one bucket stack into one attention call, and a
@@ -277,11 +278,12 @@ class KVCache:
 
     The buffer is zero-filled and always spans :func:`key_bucket` of the
     last live position, so ``append`` returns zero-copy views of the live
-    prefix followed by zero padding: the operand the rowwise attention
-    kernel contracts over.  Buckets are powers of two, so the buffer at
-    least doubles when it grows and total copying over a decode of ``n``
-    tokens is O(n).  ``capacity`` is the first reservation (rounded up to
-    a key bucket); ``max_capacity`` bounds the live length.
+    prefix followed by zero padding: the operand the attention kernel
+    contracts over.  A forward without a cache appends to a throwaway one.
+    Buckets are powers of two, so the buffer at least doubles when it grows
+    and total copying over a decode of ``n`` tokens is O(n).  ``capacity``
+    is the first reservation (rounded up to a key bucket); ``max_capacity``
+    bounds the live length.
     """
 
     __slots__ = ("k", "v", "length", "max_capacity")
@@ -480,108 +482,55 @@ class LlamaModel:
         b, t, _ = x.shape
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
+        if cache is None and pos_offset:
+            raise ValueError("attention without a cache starts at 0")
         q, k, v = self._site(f"{pre}.attn_in", x.reshape(b * t, c.dim), rowwise)
-        q = q.reshape(b, t, h, hd)
-        k = k.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
-        v = v.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
         end = pos_offset + t
         cos = self._cos[pos_offset:end]
         sin = self._sin[pos_offset:end]
-        k = self._rope_apply(k, cos, sin)
+        q = self._rope_apply(q.reshape(b, t, h, hd), cos[:, None], sin[:, None])
+        k = self._rope_apply(k.reshape(b, t, kv, hd).transpose(0, 2, 1, 3), cos, sin)
+        v = v.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
         # The KV-cache round-trips through the codec (quantized storage).
-        k = self.kv_codec.encode_decode(k, "k").astype(np.float32)
-        v = self.kv_codec.encode_decode(v, "v").astype(np.float32)
-        if cache is not None:
+        k = self.kv_codec.encode_decode(k, "k")
+        v = self.kv_codec.encode_decode(v, "v")
+        if cache is None:
+            kv_cache = KVCache(b, kv, hd, capacity=t)
+        else:
             kv_cache = cache.get(f"{pre}.kv")
             if kv_cache is None:
                 kv_cache = cache[f"{pre}.kv"] = self._new_kv_cache(b, t)
-            k, v = kv_cache.append(k, v)
-        # A decode step (one token over a cache) is always a row, so it
-        # matches its row of forward_batch byte for byte.
-        if rowwise or (t == 1 and cache is not None):
-            # One kernel call per key bucket (consecutive positions, so each
-            # bucket is a run of rows).
-            q = self._rope_apply(q, cos[:, None], sin[:, None])
-            if cache is None:
-                if pos_offset:
-                    raise ValueError("rowwise attention without a cache starts at 0")
-                k, v = KVCache(b, kv, hd, capacity=t).append(k, v)
-            out = np.empty((b, t, h * hd), dtype=np.float32)
-            lo = 0
-            while lo < t:
-                lp = key_bucket(pos_offset + lo)
-                hi = min(t, lp - pos_offset)
-                out[:, lo:hi] = self._attention_rows(
-                    q[:, lo:hi],
-                    k[:, :, :lp],
-                    v[:, :, :lp],
-                    np.arange(pos_offset + lo, pos_offset + hi),
-                )
-                lo = hi
-            out = out.reshape(b * t, h * hd)
-        else:
-            q = self._rope_apply(q.transpose(0, 2, 1, 3), cos, sin)
-            out = self._attention_core(
-                q, k[:, :, :end], v[:, :, :end], pos_offset=pos_offset, t=t
-            ).astype(np.float32)
-        (y,) = self._site(f"{pre}.attn_out", out, rowwise)
+        k, v = kv_cache.append(k, v)
+        # One kernel call per key bucket (consecutive positions, so each
+        # bucket is a run of rows).
+        out = np.empty((b, t, h * hd), dtype=np.float32)
+        lo = 0
+        while lo < t:
+            lp = key_bucket(pos_offset + lo)
+            hi = min(t, lp - pos_offset)
+            out[:, lo:hi] = self._attention_rows(
+                q[:, lo:hi],
+                k[:, :, :lp],
+                v[:, :, :lp],
+                np.arange(pos_offset + lo, pos_offset + hi),
+            )
+            lo = hi
+        (y,) = self._site(f"{pre}.attn_out", out.reshape(b * t, h * hd), rowwise)
         return y.reshape(b, t, c.dim)
-
-    def _attention_core(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        *,
-        pos_offset: int,
-        t: int,
-    ) -> np.ndarray:
-        """Flat attention: scores -> causal mask -> softmax -> context.
-
-        ``q`` is ``(b, n_heads, t, head_dim)``; ``k``/``v`` are the full
-        sequences ``(b, kv_heads, t_kv, head_dim)``.  Returns the pre-``wo``
-        context ``(b * t, n_heads * head_dim)``.  The whole sequence runs as
-        one matmul per head, so a row's accumulation order depends on
-        ``t`` and ``t_kv``: this is the calibration / perplexity path.
-        Decode and position-invariant prefill run :meth:`_attention_rows`.
-        """
-        c = self.config
-        b = q.shape[0]
-        h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
-        g, t_kv = h // kv, k.shape[2]
-        # GQA without materializing repeated K/V: broadcast each KV head
-        # against its group of query heads inside a batched matmul (MHA,
-        # g == 1, issues the same per-head products as a 4-D matmul).
-        kt = k[:, :, None].transpose(0, 1, 2, 4, 3)
-        # A float32 scale: dividing by np.sqrt(hd), a float64 scalar, would
-        # promote scores, softmax and context to float64.
-        qg = q.reshape(b, kv, g, t, hd) * np.float32(1.0 / np.sqrt(hd))
-        scores = qg @ kt
-        scores = scores.reshape(b, h, t, t_kv)
-        # Causal mask: query i (at absolute position pos_offset+i) may attend
-        # to keys up to that absolute position.
-        q_pos = np.arange(pos_offset, pos_offset + t)[:, None]
-        k_pos = np.arange(t_kv)[None, :]
-        scores = np.where(k_pos <= q_pos, scores, -np.inf)
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = (attn.reshape(b, kv, g, t, t_kv) @ v[:, :, None]).reshape(b, h, t, hd)
-        return ctx.transpose(0, 2, 1, 3).reshape(b * t, h * hd)
 
     def _attention_rows(
         self, q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
-        """The rowwise attention kernel over one key bucket.
+        """The attention kernel over one key bucket.
 
         ``q`` is ``(b, m, n_heads, head_dim)``: query rows ``(i, j)`` at
-        absolute positions ``positions``, shaped ``(m,)`` (the rows of one
-        prefill chunk, shared over ``b``) or ``(b,)`` (one decode row per
-        sequence, ``m == 1``).  ``k``/``v`` are ``(b, kv_heads, Lp,
-        head_dim)``: keys at positions ``0 .. Lp-1``, where ``Lp`` is the
-        rows' :func:`key_bucket`; keys past a row's position are masked to
-        ``-inf``, so padding only needs to be finite.  Returns the pre-``wo``
-        context ``(b, m, n_heads * head_dim)``.
+        absolute positions ``positions``, shaped ``(m,)`` (consecutive rows
+        of one :meth:`forward` call, shared over ``b``) or ``(b,)`` (one
+        decode row per sequence, ``m == 1``).  ``k``/``v`` are ``(b,
+        kv_heads, Lp, head_dim)``: keys at positions ``0 .. Lp-1``, where
+        ``Lp`` is the rows' :func:`key_bucket`; keys past a row's position
+        are masked to ``-inf``, so padding only needs to be finite.  Returns
+        the pre-``wo`` context ``(b, m, n_heads * head_dim)``.
 
         Each row contracts through float32 ``(g, hd) @ (hd, Lp)`` and
         ``(g, Lp) @ (Lp, hd)`` matmuls (gemv when ``g == 1``) and
@@ -630,8 +579,8 @@ class LlamaModel:
         q = self._rope_apply(q.reshape(b, 1, h, hd), cos, sin)
         k = self._rope_apply(k.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3), cos, sin)
         v = v.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
-        k = self.kv_codec.encode_decode(k, "k").astype(np.float32)
-        v = self.kv_codec.encode_decode(v, "v").astype(np.float32)
+        k = self.kv_codec.encode_decode(k, "k")
+        v = self.kv_codec.encode_decode(v, "v")
         key = f"{pre}.kv"
         for cache in caches:
             if key not in cache:
@@ -730,10 +679,11 @@ class LlamaModel:
     ) -> np.ndarray:
         """One decoder layer: attention + FFN with residuals, (B, T, D) -> same.
 
-        ``rowwise=True`` routes every projection and the attention through
-        the position-invariant per-row kernels (see :meth:`forward`); MoE
-        routing stays on the flat path — the serving stack rejects MoE
-        models, so position-invariant prefill is a dense-model contract.
+        ``rowwise=True`` routes every projection through the
+        position-invariant per-row GEMMs (see :meth:`forward`); attention
+        runs the key-bucket kernel either way.  MoE routing stays on the
+        flat path — the serving stack rejects MoE models, so
+        position-invariant prefill is a dense-model contract.
         """
         c = self.config
         b, t, _ = x.shape
@@ -787,19 +737,19 @@ class LlamaModel:
         incrementally: pass the prompt once, then one token at a time with
         increasing ``pos_offset``.
 
-        ``rowwise=True`` selects the *position-invariant* kernels: every
-        linear and the lm head contract each token row independently, and
-        attention runs :meth:`_attention_rows`, where the row at position
-        ``i`` contracts over keys padded to ``key_bucket(i)``.  The hidden
-        state (and cached K/V) at position ``i`` then depends only on tokens
-        ``<= i`` — never on how many positions shared the call.  That makes
-        chunked/resumed prefill bit-identical to one-shot prefill, which is
-        what lets the prefix cache hand a request someone else's KV pages.
-        A single-token step with a cache (decode) always runs the rowwise
-        attention, so it is byte-identical to its row of
-        :meth:`forward_batch`; its linears issue the same single-row GEMMs
-        either way.  The flat default remains the calibration/perplexity
-        path.  Rowwise attention without a cache requires ``pos_offset=0``.
+        Attention always runs :meth:`_attention_rows`, where the row at
+        position ``i`` contracts over keys padded to ``key_bucket(i)``.
+        ``rowwise`` chooses only the GEMM kernels of the linears and the lm
+        head: ``rowwise=True`` contracts each token row independently, so
+        the hidden state (and cached K/V) at position ``i`` depends only on
+        tokens ``<= i`` — never on how many positions shared the call.  That
+        makes chunked/resumed prefill bit-identical to one-shot prefill,
+        which is what lets the prefix cache hand a request someone else's KV
+        pages.  A single-token step (decode) issues the same single-row
+        GEMMs either way, so with a cache it is byte-identical to its row of
+        :meth:`forward_batch`.  The flat default, one 2-D GEMM per linear,
+        is the calibration/perplexity path.  A call without a cache must
+        start at ``pos_offset=0`` (``ValueError`` otherwise).
         """
         c = self.config
         tokens = np.atleast_2d(np.asarray(tokens))
@@ -868,24 +818,23 @@ class LlamaModel:
     # ------------------------------------------------------------------ #
     # Utilities
     # ------------------------------------------------------------------ #
-    def nll(self, tokens: np.ndarray) -> float:
-        """Mean next-token negative log-likelihood over (B, T) tokens."""
+    def token_logprobs(self, tokens: np.ndarray) -> np.ndarray:
+        """``log P(tokens[:, i + 1] | tokens[:, : i + 1])`` of a teacher-forced
+        flat :meth:`forward`, as a ``(B, T - 1)`` float64 array."""
         tokens = np.atleast_2d(np.asarray(tokens))
         logits = self.forward(tokens[:, :-1]).astype(np.float64)
-        targets = tokens[:, 1:]
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logz = np.log(np.exp(shifted).sum(axis=-1))
-        tgt_logit = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-        return float((logz - tgt_logit).mean())
+        targets = tokens[:, 1:, None]
+        return np.take_along_axis(shifted, targets, axis=-1)[..., 0] - logz
+
+    def nll(self, tokens: np.ndarray) -> float:
+        """Mean next-token negative log-likelihood over (B, T) tokens."""
+        return float(-self.token_logprobs(tokens).mean())
 
     def sequence_logprob(self, tokens: np.ndarray, *, start: int = 0) -> float:
         """Sum of log P(token_i | prefix) for i in [max(start,1), len)."""
-        tokens = np.asarray(tokens).reshape(1, -1)
-        logits = self.forward(tokens[:, :-1]).astype(np.float64)[0]
-        targets = tokens[0, 1:]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        token_lp = logp[np.arange(len(targets)), targets]
+        token_lp = self.token_logprobs(np.asarray(tokens).reshape(1, -1))[0]
         begin = max(start - 1, 0)  # logits index i predicts token i+1
         return float(token_lp[begin:].sum())
 
@@ -903,10 +852,10 @@ class LlamaModel:
         sequence keys); the serving engine's numeric backend uses per-request
         sequence keys so its sampling stream matches this oracle exactly.
 
-        The prompt pass runs the rowwise (position-invariant) kernels so the
+        The prompt pass runs the rowwise (position-invariant) GEMMs so the
         oracle's prefill bytes match the serving runner's chunked/prefix-
-        cached prefill exactly; decode steps (one token with a cache) run
-        the rowwise attention whatever ``rowwise`` says.
+        cached prefill exactly; a decode step is one row, so its GEMMs are
+        the rowwise ones either way.
         """
         rng = np.random.default_rng(seed)
         tokens = list(np.asarray(prompt).ravel())

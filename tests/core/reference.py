@@ -11,8 +11,8 @@ replaced, kept only as test oracles:
 - :class:`ConcatKVCache` — a KV cache that concatenates every step, plugged
   in through ``LlamaModel(kv_cache_factory=...)``;
 - :func:`repeat_gqa_attention` — attention over ``np.repeat``-materialized
-  K/V heads (:class:`ReferenceModel` runs it in place of both attention
-  kernels, ``LlamaModel._attention_core`` and ``_attention_rows``);
+  K/V heads, one row at a time (:class:`ReferenceModel` runs it in place of
+  the one attention kernel, ``LlamaModel._attention_rows``);
 - :func:`quantize_sequential_full` — sequential calibration that re-runs a
   full forward of the partially quantized model per layer (O(L^2)).
 
@@ -160,15 +160,15 @@ def repeat_gqa_attention(
     v: np.ndarray,
     *,
     pos_offset: int,
-    rowwise: bool = False,
 ) -> np.ndarray:
     """Causal attention with each KV head repeated over its query group.
 
-    Same contract as ``LlamaModel._attention_core``: ``q`` is ``(b, heads,
-    t, head_dim)``, ``k``/``v`` are ``(b, kv_heads, t_kv, head_dim)``, the
-    result is the ``(b * t, heads * head_dim)`` context.  Like both kernels,
-    it scales ``q`` by a float32 ``1 / sqrt(head_dim)``, so float32 inputs
-    are attended in float32.
+    ``q`` is ``(b, heads, t, head_dim)`` at positions ``pos_offset ..
+    pos_offset + t - 1``, ``k``/``v`` are ``(b, kv_heads, t_kv, head_dim)``,
+    the result is the ``(b * t, heads * head_dim)`` context.  Each query row
+    contracts alone.  Like ``LlamaModel._attention_rows``, it scales ``q``
+    by a float32 ``1 / sqrt(head_dim)``, so float32 inputs are attended in
+    float32.
     """
     b, h, t, hd = q.shape
     g = h // k.shape[1]
@@ -176,36 +176,25 @@ def repeat_gqa_attention(
     v = np.repeat(v, g, axis=1)
     kt = k.transpose(0, 1, 3, 2)
     q = q * np.float32(1.0 / np.sqrt(hd))
-    if rowwise:
-        scores = np.matmul(q[:, :, :, None, :], kt[:, :, None, :, :])[:, :, :, 0]
-    else:
-        scores = q @ kt
+    scores = np.matmul(q[:, :, :, None, :], kt[:, :, None, :, :])[:, :, :, 0]
     q_pos = np.arange(pos_offset, pos_offset + t)[:, None]
     k_pos = np.arange(k.shape[2])[None, :]
     scores = np.where(k_pos <= q_pos, scores, -np.inf)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=-1, keepdims=True)
-    if rowwise:
-        ctx = np.matmul(attn[:, :, :, None, :], v[:, :, None, :, :])[:, :, :, 0]
-    else:
-        ctx = attn @ v
+    ctx = np.matmul(attn[:, :, :, None, :], v[:, :, None, :, :])[:, :, :, 0]
     return ctx.transpose(0, 2, 1, 3).reshape(b * t, h * hd)
 
 
 class ReferenceModel(LlamaModel):
-    """LlamaModel whose attention is :func:`repeat_gqa_attention`, on the
-    flat path and on the rowwise (decode / rowwise prefill) path.
+    """LlamaModel whose attention is :func:`repeat_gqa_attention`.
 
-    ``attention_calls`` counts invocations, so a test can show the oracle
-    ran.
+    ``attention_calls`` counts invocations (one per key bucket per layer),
+    so a test can show the oracle ran.
     """
 
     attention_calls = 0
-
-    def _attention_core(self, q, k, v, *, pos_offset, t):
-        self.attention_calls += 1
-        return repeat_gqa_attention(q, k, v, pos_offset=pos_offset)
 
     def _attention_rows(self, q, k, v, positions):
         # Rows of one sequence sit at consecutive positions.
@@ -219,7 +208,6 @@ class ReferenceModel(LlamaModel):
                     k[i : i + 1],
                     v[i : i + 1],
                     pos_offset=int(first[i]),
-                    rowwise=True,
                 )
                 for i in range(b)
             ]

@@ -53,13 +53,19 @@ def test_kv_codec_is_float32(model):
         assert model.kv_codec.encode_decode(kv.astype(np.float32), kind).dtype == F32
 
 
-def test_attention_core_context_is_float32(model):
+def test_attention_rows_context_is_float32_in_flat_forward(model, monkeypatch):
+    contexts = []
+    kernel = model._attention_rows
+
+    def spy(q, k, v, positions):
+        contexts.append(kernel(q, k, v, positions))
+        return contexts[-1]
+
+    monkeypatch.setattr(model, "_attention_rows", spy)
     c = model.config
-    rng = np.random.default_rng(4)
-    t = 6
-    q = rng.normal(size=(2, c.n_heads, t, c.head_dim)).astype(np.float32)
-    k = rng.normal(size=(2, c.n_kv_heads, t, c.head_dim)).astype(np.float32)
-    v = rng.normal(size=k.shape).astype(np.float32)
-    ctx = model._attention_core(q, k, v, pos_offset=0, t=t)
-    assert ctx.dtype == F32
-    assert ctx.shape == (2 * t, c.n_heads * c.head_dim)
+    model.forward(np.random.default_rng(4).integers(0, c.vocab_size, size=(2, 20)))
+    # Two key buckets (16, 32) per layer.
+    assert len(contexts) == 2 * c.n_layers
+    for ctx in contexts:
+        assert ctx.dtype == F32
+        assert ctx.shape[-1] == c.n_heads * c.head_dim

@@ -64,7 +64,13 @@ def _kv_codes(
 
 
 class AtomKVCodec(KVCodec):
-    """Per-(token, head) asymmetric quantization of the KV-cache."""
+    """Per-(token, head) asymmetric quantization of the KV-cache.
+
+    Every ``head_dim`` vector is quantized alone, so K and V stacked on the
+    heads axis (``kind="kv"``, how the model's attention prologue calls it
+    once per layer) round-trip byte-equal to separate ``"k"`` and ``"v"``
+    calls.
+    """
 
     def __init__(self, bits: int = 4, *, asymmetric: bool = True) -> None:
         if not 2 <= bits <= 8:
@@ -73,8 +79,8 @@ class AtomKVCodec(KVCodec):
         self.asymmetric = asymmetric
 
     def encode_decode(self, kv: np.ndarray, kind: str) -> np.ndarray:
-        if kind not in ("k", "v"):
-            raise ValueError(f"kind must be 'k' or 'v', got {kind!r}")
+        if kind not in ("k", "v", "kv"):
+            raise ValueError(f"kind must be 'k', 'v' or 'kv', got {kind!r}")
         return quantize_kv_headwise(kv, self._bits, asymmetric=self.asymmetric)
 
     @property

@@ -37,7 +37,12 @@ position ``p`` attends over keys padded to ``key_bucket(p)`` positions
 Every BLAS call a row makes then has a shape fixed by its position alone,
 so a row's attention bytes never depend on batch composition or prefill
 chunking.  A pass without a cache appends its K/V to a throwaway dense
-:class:`KVCache`.
+:class:`KVCache`.  Every forward also shares one attention prologue,
+:meth:`LlamaModel._attention_prologue`: the ``attn_in`` executor runs once,
+RoPE rotates the q|k heads of its output in place in one call, and the KV
+codec round-trips the k|v heads in one ``kind="kv"`` call; q, k and v go on
+as views.  Both ops work per (token, head) vector, so one pass each is byte
+for byte what separate q, k and v passes compute.
 
 Linears that read the same activation run as ONE executor per input site:
 at install time their parts are fused along the output axis
@@ -258,7 +263,8 @@ class KVCodec(abc.ABC):
 
     @abc.abstractmethod
     def encode_decode(self, kv: np.ndarray, kind: str) -> np.ndarray:
-        """Round-trip ``kv`` through the codec; ``kind`` is ``"k"`` or ``"v"``."""
+        """Round-trip ``kv`` through the codec; ``kind`` is ``"k"``, ``"v"``
+        or ``"kv"`` (K heads then V heads on axis 1, one call per layer)."""
 
     @property
     def bits(self) -> float:
@@ -379,11 +385,6 @@ class LlamaModel:
         self._members: dict[str, list[str]] = {}
         for name in self.parts:
             self._members.setdefault(executor_site(name), []).append(name)
-        #: Output column range of each part inside its site's executor.
-        self._splits: dict[str, list[tuple[int, int]]] = {}
-        for site, names in self._members.items():
-            bounds = np.cumsum([0] + [self.parts[n].out_features for n in names])
-            self._splits[site] = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         #: The executors that run, one per input site (see the module table).
         self.linears: dict[str, LinearImpl] = {
             site: fuse_site(site, {n: self.parts[n] for n in names})
@@ -444,10 +445,9 @@ class LlamaModel:
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
-    def _site(
-        self, site: str, x2d: np.ndarray, rowwise: bool = False
-    ) -> list[np.ndarray]:
-        """Run ``site``'s executor once; return its parts' column blocks.
+    def _site(self, site: str, x2d: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """Run ``site``'s executor once: a fresh ``(rows, out)`` float32
+        array, its parts' outputs side by side in ``model.parts`` order.
 
         ``rowwise=True`` selects the batch-size-invariant kernel (one row
         per independent sequence, see :meth:`LinearImpl.forward_rowwise`).
@@ -455,19 +455,58 @@ class LlamaModel:
         if self._capture is not None:
             self._capture[site] = x2d.copy()
         lin = self.linears[site]
-        y = lin.forward_rowwise(x2d) if rowwise else lin(x2d)
-        return [y[:, lo:hi] for lo, hi in self._splits[site]]
+        return lin.forward_rowwise(x2d) if rowwise else lin(x2d)
 
     @staticmethod
-    def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+        """Rotate ``x``'s last axis in place (RoPE); ``cos``/``sin`` hold
+        ``head_dim / 2`` angles and broadcast against ``x``'s other axes."""
         half = x.shape[-1] // 2
         x1, x2 = x[..., :half], x[..., half:]
-        return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+        rot1 = x1 * cos
+        rot1 -= x2 * sin
+        x2 *= cos
+        x2 += x1 * sin
+        x1[...] = rot1
 
     @staticmethod
     def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-        ms = (x.astype(np.float64) ** 2).mean(axis=-1, keepdims=True)
-        return (x / np.sqrt(ms + eps)).astype(np.float32) * gain
+        """``x / sqrt(mean(x**2) + eps) * gain``, the statistics in float64."""
+        x64 = x.astype(np.float64)
+        ms = np.add.reduce(x64 * x64, axis=-1, keepdims=True)
+        ms /= x.shape[-1]
+        ms += eps
+        np.divide(x64, np.sqrt(ms, out=ms), out=x64)
+        y = x64.astype(np.float32)
+        y *= gain
+        return y
+
+    def _attention_prologue(
+        self, x: np.ndarray, layer: int, cos: np.ndarray, sin: np.ndarray,
+        rowwise: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One layer's attention operands from its normed input ``x``
+        ``(b, t, dim)``, in one pass per op.
+
+        The ``attn_in`` executor runs once; its fresh output, viewed as
+        ``(b, t, n_heads + 2 * n_kv_heads, head_dim)``, holds q|k|v.  RoPE
+        rotates the q|k heads in place in one call (``cos``/``sin``
+        broadcast against ``(b, t, heads, head_dim / 2)``), and the KV
+        codec round-trips the k|v heads in one ``"kv"`` call, viewed as
+        ``(b, 2 * n_kv_heads, t, head_dim)``.  Both ops work per (token,
+        head) vector, so the bytes equal separate q, k and v passes.
+        Returns ``q`` ``(b, t, n_heads, head_dim)`` and ``k``/``v`` ``(b,
+        n_kv_heads, t, head_dim)``, all views.
+        """
+        c = self.config
+        b, t, _ = x.shape
+        h, kv = c.n_heads, c.n_kv_heads
+        y = self._site(f"layers.{layer}.attn_in", x.reshape(b * t, c.dim), rowwise)
+        y = y.reshape(b, t, h + 2 * kv, c.head_dim)
+        self._rope_apply(y[:, :, : h + kv], cos, sin)
+        # The KV-cache round-trips through the codec (quantized storage).
+        kvs = self.kv_codec.encode_decode(y[:, :, h:].transpose(0, 2, 1, 3), "kv")
+        return y[:, :, :h], kvs[:, :kv], kvs[:, kv:]
 
     def _attention(
         self,
@@ -478,22 +517,27 @@ class LlamaModel:
         cache: dict | None,
         rowwise: bool = False,
     ) -> np.ndarray:
+        """Attention of ``t`` consecutive rows per sequence, (B, T, D) -> same.
+
+        The rows sit at positions ``pos_offset .. pos_offset + t - 1``.
+        :meth:`_attention_prologue` runs the QKV projection, RoPE over q|k
+        and the KV codec over k|v once each; K/V append to ``cache``'s
+        layer entry (a throwaway dense :class:`KVCache` without a cache);
+        each key bucket runs one :meth:`_attention_rows` call; the output
+        projection runs once.  Serves prefill, :meth:`generate`'s decode,
+        calibration and :meth:`nll`.
+        """
         c = self.config
         b, t, _ = x.shape
         h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
         pre = f"layers.{layer}"
         if cache is None and pos_offset:
             raise ValueError("attention without a cache starts at 0")
-        q, k, v = self._site(f"{pre}.attn_in", x.reshape(b * t, c.dim), rowwise)
         end = pos_offset + t
-        cos = self._cos[pos_offset:end]
-        sin = self._sin[pos_offset:end]
-        q = self._rope_apply(q.reshape(b, t, h, hd), cos[:, None], sin[:, None])
-        k = self._rope_apply(k.reshape(b, t, kv, hd).transpose(0, 2, 1, 3), cos, sin)
-        v = v.reshape(b, t, kv, hd).transpose(0, 2, 1, 3)
-        # The KV-cache round-trips through the codec (quantized storage).
-        k = self.kv_codec.encode_decode(k, "k")
-        v = self.kv_codec.encode_decode(v, "v")
+        q, k, v = self._attention_prologue(
+            x, layer, self._cos[pos_offset:end, None], self._sin[pos_offset:end, None],
+            rowwise,
+        )
         if cache is None:
             kv_cache = KVCache(b, kv, hd, capacity=t)
         else:
@@ -515,7 +559,7 @@ class LlamaModel:
                 np.arange(pos_offset + lo, pos_offset + hi),
             )
             lo = hi
-        (y,) = self._site(f"{pre}.attn_out", out.reshape(b * t, h * hd), rowwise)
+        y = self._site(f"{pre}.attn_out", out.reshape(b * t, h * hd), rowwise)
         return y.reshape(b, t, c.dim)
 
     def _attention_rows(
@@ -556,31 +600,28 @@ class LlamaModel:
         layer: int,
         positions: np.ndarray,
         caches: list[dict],
+        cos: np.ndarray,
+        sin: np.ndarray,
     ) -> np.ndarray:
         """Fused decode attention for B independent single-token sequences.
 
         ``x`` is ``(B, 1, dim)`` — one decode token per request — with
         request ``j`` at absolute position ``positions[j]`` and its
-        incremental KV in ``caches[j]``.  QKV/output projections run as one
-        row-wise batched call each; RoPE broadcasts per-request tables; cache
-        appends go through :meth:`_append_kv_batch`, which hands back the
-        requests grouped by :func:`key_bucket`; and each bucket runs one
-        :meth:`_attention_rows` call.
+        incremental KV in ``caches[j]``; ``cos``/``sin`` are the step's
+        per-request RoPE tables, ``(B, 1, 1, head_dim / 2)``, indexed once
+        per step by :meth:`forward_batch`.  The shared
+        :meth:`_attention_prologue` runs the row-wise QKV projection, RoPE
+        over q|k and the KV codec over k|v once each; cache appends go
+        through :meth:`_append_kv_batch`, which hands back the requests
+        grouped by :func:`key_bucket`; each bucket runs one
+        :meth:`_attention_rows` call; the output projection runs row-wise
+        once.
         """
         c = self.config
         b = x.shape[0]
-        h, kv, hd = c.n_heads, c.n_kv_heads, c.head_dim
+        h, hd = c.n_heads, c.head_dim
         pre = f"layers.{layer}"
-        q, k, v = self._site(f"{pre}.attn_in", x.reshape(b, c.dim), rowwise=True)
-        # Per-request RoPE tables, broadcast over heads like the sequential
-        # path's (t, hd/2) tables broadcast over the batch.
-        cos = self._cos[positions][:, None, None, :]
-        sin = self._sin[positions][:, None, None, :]
-        q = self._rope_apply(q.reshape(b, 1, h, hd), cos, sin)
-        k = self._rope_apply(k.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3), cos, sin)
-        v = v.reshape(b, 1, kv, hd).transpose(0, 2, 1, 3)
-        k = self.kv_codec.encode_decode(k, "k")
-        v = self.kv_codec.encode_decode(v, "v")
+        q, k, v = self._attention_prologue(x, layer, cos, sin, rowwise=True)
         key = f"{pre}.kv"
         for cache in caches:
             if key not in cache:
@@ -588,7 +629,7 @@ class LlamaModel:
         out = np.empty((b, 1, h * hd), dtype=np.float32)
         for rows, kb, vb in self._append_kv_batch([c[key] for c in caches], k, v):
             out[rows] = self._attention_rows(q[rows], kb, vb, positions[rows])
-        (y,) = self._site(f"{pre}.attn_out", out.reshape(b, h * hd), rowwise=True)
+        y = self._site(f"{pre}.attn_out", out.reshape(b, h * hd), rowwise=True)
         return y.reshape(b, 1, c.dim)
 
     def _new_kv_cache(self, batch: int, capacity: int):
@@ -632,10 +673,11 @@ class LlamaModel:
     def _dense_ffn(
         self, x2d: np.ndarray, prefix: str, rowwise: bool = False
     ) -> np.ndarray:
-        gate, up = self._site(f"{prefix}.ffn_in", x2d, rowwise)
+        f = self.config.ffn_dim
+        gate_up = self._site(f"{prefix}.ffn_in", x2d, rowwise)
+        gate, up = gate_up[:, :f], gate_up[:, f:]
         hidden = (gate / (1.0 + np.exp(-gate))) * up  # SiLU(gate) * up
-        (y,) = self._site(f"{prefix}.ffn_hidden", hidden.astype(np.float32), rowwise)
-        return y
+        return self._site(f"{prefix}.ffn_hidden", hidden, rowwise)
 
     @staticmethod
     def _topk_threshold(logits: np.ndarray, k: int) -> np.ndarray:
@@ -805,10 +847,14 @@ class LlamaModel:
                 f"max_seq_len {c.max_seq_len}"
             )
         x = self.weights["embed"][tokens][:, None, :]
+        # Per-request RoPE tables, broadcast over heads like a forward
+        # call's (t, 1, hd/2) tables broadcast over its batch.
+        cos = self._cos[positions][:, None, None]
+        sin = self._sin[positions][:, None, None]
         for i in range(c.n_layers):
             pre = f"layers.{i}"
             hdn = self._rms_norm(x, self.weights[f"{pre}.attn_norm"], c.norm_eps)
-            x = x + self._attention_batch(hdn, i, positions, caches)
+            x = x + self._attention_batch(hdn, i, positions, caches, cos, sin)
             hdn = self._rms_norm(x, self.weights[f"{pre}.mlp_norm"], c.norm_eps)
             ffn = self._dense_ffn(hdn.reshape(b, c.dim), pre, rowwise=True)
             x = x + ffn.reshape(b, 1, c.dim)

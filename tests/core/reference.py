@@ -11,8 +11,11 @@ replaced, kept only as test oracles:
 - :class:`ConcatKVCache` — a KV cache that concatenates every step, plugged
   in through ``LlamaModel(kv_cache_factory=...)``;
 - :func:`repeat_gqa_attention` — attention over ``np.repeat``-materialized
-  K/V heads, one row at a time (:class:`ReferenceModel` runs it in place of
-  the one attention kernel, ``LlamaModel._attention_rows``);
+  K/V heads, one row at a time, with :func:`float32_attention_bound` (how
+  far the one attention kernel, ``LlamaModel._attention_rows``, may sit
+  from it); :class:`ReferenceModel` checks every kernel call against it;
+- :func:`rms_norm_reference` and :func:`rope_reference` — RMSNorm and RoPE
+  as the plain formulas (``np.mean``; a concatenated rotation);
 - :func:`quantize_sequential_full` — sequential calibration that re-runs a
   full forward of the partially quantized model per layer (O(L^2)).
 
@@ -27,7 +30,7 @@ import numpy as np
 from repro.core.atom import AtomQuantizer
 from repro.core.kv_quant import AtomKVCodec
 from repro.core.linear import AtomLinear, _dynamic_act_quant
-from repro.models.llama import LinearImpl, LlamaModel
+from repro.models.llama import LinearImpl, LlamaModel, key_bucket
 
 
 U32 = 2.0**-24  # unit roundoff of float32
@@ -187,11 +190,80 @@ def repeat_gqa_attention(
     return ctx.transpose(0, 2, 1, 3).reshape(b * t, h * hd)
 
 
-class ReferenceModel(LlamaModel):
-    """LlamaModel whose attention is :func:`repeat_gqa_attention`.
+#: Relative error of NumPy's float32 ``exp``, in float32 ULPs (one ULP is
+#: at most ``2 * U32`` relative).  NumPy documents its SIMD float32 ``exp``
+#: within 2.52 ULP; 4 leaves room for other SIMD targets.
+EXP_ULPS = 4
 
-    ``attention_calls`` counts invocations (one per key bucket per layer),
-    so a test can show the oracle ran.
+
+def _gamma(n: int) -> float:
+    """``n*u / (1 - n*u)``: relative error bound of ``n`` float32 roundings."""
+    return n * U32 / (1.0 - n * U32)
+
+
+def float32_attention_bound(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, *, pos_offset: int, lp: int
+) -> np.ndarray:
+    """Elementwise bound on ``|ctx - exact|`` for ``LlamaModel._attention_rows``
+    over keys padded to ``lp``, shaped like :func:`repeat_gqa_attention`'s
+    output (which, fed float64 operands, is the exact reference).
+
+    Operands as in :func:`repeat_gqa_attention`: float32 ``q`` ``(b, heads,
+    t, hd)`` at positions ``pos_offset ..``, live ``k``/``v`` ``(b,
+    kv_heads, t_kv, hd)``.  ``s`` is the float32 ``1 / sqrt(hd)`` both
+    sides use, ``z_j = (q s) . k_j`` the exact scores of one query row and
+    ``p_j = softmax(z)_j`` over its live keys (masked keys have ``p = 0``
+    on both sides, so padding adds exact zeros).  Following the kernel:
+
+    - scaled query and ``hd``-term scores: ``|s^_j - z_j| <= a_j =
+      gamma_{hd+1} * sum_d |q_d s k_jd|`` (one rounding for ``q * s``);
+    - max subtraction: ``|t^_j - (z_j - m)| <= d_j = a_j + u * (max z -
+      z_j + a_j + max a)`` for the kernel's max ``m`` (softmax does not
+      depend on the shift);
+    - ``exp``: ``e^_j = e_j (1 + rho_j)``, ``|rho_j| <= r_j =
+      (1 + eps) * expm1(d_j) + eps``, ``eps = 2u * EXP_ULPS``;
+    - the ``lp``-term sum and the divide: ``|p^_j - p_j| <= p_j pi_j``,
+      ``pi_j = (1 + r_j)(1 + u) / ((1 - sum_i p_i r_i)(1 - gamma_{lp-1}))
+      - 1``;
+    - the ``lp``-term context contraction: ``|ctx^ - ctx| <= sum_j p_j
+      ((1 + pi_j)(1 + gamma_lp) - 1) |v_j|``.
+
+    Underflowed ``exp`` terms (absolute error below ``2**-149``) and the
+    float64 oracle's own error are below the bound's resolution.
+    """
+    b, h, t, hd = q.shape
+    g = h // k.shape[1]
+    s = np.float64(np.float32(1.0 / np.sqrt(hd)))
+    qs = q.astype(np.float64) * s  # exact: a 24-bit by 24-bit product
+    kt = np.repeat(k, g, axis=1).astype(np.float64).swapaxes(-1, -2)
+    live = np.arange(k.shape[2]) <= np.arange(pos_offset, pos_offset + t)[:, None]
+    z = np.where(live, qs @ kt, -np.inf)
+    a = np.where(live, _gamma(hd + 1) * (np.abs(qs) @ np.abs(kt)), 0.0)
+    zmax = z.max(axis=-1, keepdims=True)
+    p = np.exp(z - zmax)
+    p /= p.sum(axis=-1, keepdims=True)
+    d = np.where(live, a + U32 * (zmax - z + a + a.max(axis=-1, keepdims=True)), 0.0)
+    eps = 2 * EXP_ULPS * U32
+    r = (1 + eps) * np.expm1(d) + eps
+    rbar = (p * r).sum(axis=-1, keepdims=True)
+    pi = (1 + r) * (1 + U32) / ((1 - rbar) * (1 - _gamma(lp - 1))) - 1
+    w = p * ((1 + pi) * (1 + _gamma(lp)) - 1)
+    bound = w @ np.abs(np.repeat(v, g, axis=1).astype(np.float64))
+    return bound.transpose(0, 2, 1, 3).reshape(b * t, h * hd)
+
+
+class ReferenceModel(LlamaModel):
+    """LlamaModel whose every attention call is checked against
+    :func:`repeat_gqa_attention`.
+
+    Each ``_attention_rows`` call runs the kernel on the same operands
+    (keys zero-padded to the rows' key bucket, as the model's caches pad
+    them) and the float64 oracle per sequence, asserts the kernel within
+    :func:`float32_attention_bound` of the oracle, and returns the
+    kernel's context: the two models stay in lockstep, so rounding never
+    compounds across layers and buckets, and each call is held to the
+    derived bound on its own operands.  ``attention_calls`` counts calls
+    (one per key bucket per layer), so a test can show the oracle ran.
     """
 
     attention_calls = 0
@@ -200,18 +272,19 @@ class ReferenceModel(LlamaModel):
         # Rows of one sequence sit at consecutive positions.
         self.attention_calls += 1
         b, m = q.shape[:2]
+        lp = key_bucket(int(np.max(positions)))
+        pad = ((0, 0), (0, 0), (0, lp - k.shape[2]), (0, 0))
+        got = super()._attention_rows(q, np.pad(k, pad), np.pad(v, pad), positions)
         first = np.broadcast_to(np.reshape(positions, (-1, m)), (b, m))[:, 0]
-        return np.stack(
-            [
-                repeat_gqa_attention(
-                    q[i : i + 1].transpose(0, 2, 1, 3),
-                    k[i : i + 1],
-                    v[i : i + 1],
-                    pos_offset=int(first[i]),
-                )
-                for i in range(b)
-            ]
-        )
+        for i in range(b):
+            qi, ki, vi = q[i : i + 1].transpose(0, 2, 1, 3), k[i : i + 1], v[i : i + 1]
+            exact = repeat_gqa_attention(
+                qi.astype(np.float64), ki.astype(np.float64), vi.astype(np.float64),
+                pos_offset=int(first[i]),
+            )
+            bound = float32_attention_bound(qi, ki, vi, pos_offset=int(first[i]), lp=lp)
+            assert np.all(np.abs(got[i] - exact) <= bound), (i, positions)
+        return got
 
 
 def reference_model(model: LlamaModel) -> ReferenceModel:
@@ -230,6 +303,19 @@ def reference_model(model: LlamaModel) -> ReferenceModel:
         }
     )
     return ref
+
+
+def rms_norm_reference(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
+    """RMSNorm with float64 statistics, written as the formula."""
+    ms = (x.astype(np.float64) ** 2).mean(axis=-1, keepdims=True)
+    return (x / np.sqrt(ms + eps)).astype(np.float32) * gain
+
+
+def rope_reference(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """RoPE of ``x``'s last axis, returned as a new array."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
 
 def quantize_sequential_full(

@@ -69,3 +69,22 @@ def test_attention_rows_context_is_float32_in_flat_forward(model, monkeypatch):
     for ctx in contexts:
         assert ctx.dtype == F32
         assert ctx.shape[-1] == c.n_heads * c.head_dim
+
+
+def test_site_inputs_are_float32(model):
+    # SiLU(gate) * up of float32 executor outputs stays float32, so it
+    # reaches ffn_hidden with no cast; so does every other site's input,
+    # in a flat forward and in a batched decode step.
+    c = model.config
+    rng = np.random.default_rng(5)
+    flat = model.capture_site_inputs(rng.integers(0, c.vocab_size, size=(2, 9)))
+    caches = [{} for _ in range(3)]
+    for n, cache in zip((3, 8, 20), caches):
+        model.forward(rng.integers(0, c.vocab_size, size=(1, n)), cache=cache)
+    batched = model._record_sites(
+        lambda: model.forward_batch(np.array([1, 2, 3]), np.array([3, 8, 20]), caches)
+    )
+    for sites in (flat, batched):
+        assert sorted(sites) == sorted(model.linears)
+        for site, x in sites.items():
+            assert x.dtype == F32, site

@@ -2,7 +2,8 @@
 
 Subpackages
 -----------
-- :mod:`repro.quant`     — quantization primitives (formats, uniform quantizers, kernels)
+- :mod:`repro.quant`     — quantization primitives (number formats, numerical
+  guardrails, error metric)
 - :mod:`repro.core`      — the Atom algorithm (outliers, reordering, mixed precision,
   group quantization, clipping, GPTQ, KV-cache quantization, model pipeline)
 - :mod:`repro.baselines` — RTN, SmoothQuant, OmniQuant-lite, QLLM-lite, W8A8, W4A16

@@ -8,11 +8,10 @@ Modules map one-to-one onto the paper's §4 design components:
   reordering (low-bit body groups + high-bit outlier tail);
 - :mod:`repro.core.outliers`  — calibration-based outlier identification and
   the reorder permutation (§4.1, Fig. 7);
-- :mod:`repro.core.clipping`  — grid-search clipping factors (§4.3/§5.1);
 - :mod:`repro.core.gptq`      — GPTQ weight quantization with group scales;
 - :mod:`repro.core.kv_quant`  — asymmetric per-head KV-cache codec (§4.4);
 - :mod:`repro.core.linear`    — the quantized linear executors: dynamic
-  activation quantization + exact integer GEMM (§4.2, Fig. 8);
+  activation quantization + one scale-folded GEMM (§4.2, Fig. 8);
 - :mod:`repro.core.atom`      — :class:`AtomQuantizer`, the model-level
   pipeline (§4.5, Fig. 6);
 - :mod:`repro.core.checkpoint` — crash-safe per-layer checkpoint store for
@@ -28,7 +27,6 @@ from repro.core.outliers import (
     identify_outliers,
     reorder_permutation,
 )
-from repro.core.clipping import search_clip
 from repro.core.gptq import gptq_quantize
 from repro.core.kv_quant import AtomKVCodec
 from repro.core.linear import AtomLinear, QuantLinear
@@ -48,5 +46,4 @@ __all__ = [
     "identify_outliers",
     "make_group_slices",
     "reorder_permutation",
-    "search_clip",
 ]

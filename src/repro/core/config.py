@@ -47,7 +47,8 @@ class AtomConfig:
         Fine-grained group size along channels; ``None`` disables group
         quantization (per-token activations / per-output-channel weights).
     act_clip, weight_clip:
-        Symmetric clipping factors (§5.1 grid search found 0.9 / 0.85).
+        Symmetric clipping factors: the paper's grid search (§5.1) found
+        0.9 / 0.85, the defaults here.
     use_gptq:
         Apply GPTQ (Hessian-compensated rounding) to weight bodies.
     kv_bits:

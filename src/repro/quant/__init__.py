@@ -1,107 +1,16 @@
-"""Quantization primitives: number formats, uniform quantizers, granularity, kernels.
+"""Quantization primitives shared by the quantizers and the serving model.
 
-This subpackage is the numeric substrate everything else builds on.  It provides
+- :mod:`repro.quant.dtypes` — integer formats (INT2..INT8) and the FP4 (E2M1)
+  and FP8 (E4M3) minifloat grids, each able to round a float array onto its
+  representable grid;
+- :mod:`repro.quant.guards` — numerical guardrails of the offline pipeline:
+  the :class:`~repro.quant.guards.QuantHealthReport`, finite checks and
+  degenerate-scale counting;
+- :mod:`repro.quant.error` — the relative weight reconstruction error
+  the Atom quantizer reports per linear.
 
-- :mod:`repro.quant.dtypes` — integer formats (INT2..INT8), FP4 (E2M1), FP8 (E4M3)
-  and MX block formats, each able to round a float array onto its representable grid;
-- :mod:`repro.quant.uniform` — symmetric/asymmetric uniform quantization following
-  Eq. (1)-(3) of the Atom paper, with clipping factors;
-- :mod:`repro.quant.granularity` — per-tensor / per-channel / per-token / per-group
-  scale computation and the grouping reshape helpers;
-- :mod:`repro.quant.qtensor` — the :class:`QuantizedTensor` container;
-- :mod:`repro.quant.matmul` — exact integer matmul reference kernels including the
-  fused group-dequant GEMM of Fig. 8 and the mixed-precision GEMM;
-- :mod:`repro.quant.error` — quantization error metrics and effective-bit accounting;
-- :mod:`repro.quant.packing` — INT2/INT4/INT8 bit-packing (the storage layout
-  the serving model's byte counts assume).
+The quantizers themselves live where they run: weights in
+:mod:`repro.core.gptq`, activations in :mod:`repro.core.linear`, the KV cache
+in :mod:`repro.core.kv_quant`.  The package re-exports nothing; import the
+module you need.
 """
-
-from repro.quant.dtypes import (
-    FP4_E2M1,
-    FP8_E4M3,
-    FloatFormat,
-    IntFormat,
-    MXFormat,
-    INT2,
-    INT3,
-    INT4,
-    INT6,
-    INT8,
-    int_format,
-)
-from repro.quant.granularity import (
-    Granularity,
-    group_view,
-    ungroup_view,
-)
-from repro.quant.guards import (
-    GuardEvent,
-    NumericalError,
-    QuantHealthReport,
-    check_finite,
-    count_degenerate_scales,
-    strict_mode_default,
-)
-from repro.quant.qtensor import QuantizedTensor
-from repro.quant.uniform import (
-    asymmetric_params,
-    dequantize,
-    quantize_asymmetric,
-    quantize_symmetric,
-    quantize_tensor,
-    symmetric_scale,
-)
-from repro.quant.matmul import (
-    fused_group_gemm,
-    mixed_precision_gemm,
-    quantized_gemm,
-)
-from repro.quant.packing import pack_codes, packed_nbytes, unpack_codes
-from repro.quant.error import (
-    cosine_similarity,
-    effective_bits,
-    mse,
-    relative_error,
-    sqnr_db,
-)
-
-__all__ = [
-    "FP4_E2M1",
-    "FP8_E4M3",
-    "FloatFormat",
-    "Granularity",
-    "GuardEvent",
-    "NumericalError",
-    "QuantHealthReport",
-    "check_finite",
-    "count_degenerate_scales",
-    "strict_mode_default",
-    "IntFormat",
-    "INT2",
-    "INT3",
-    "INT4",
-    "INT6",
-    "INT8",
-    "MXFormat",
-    "QuantizedTensor",
-    "asymmetric_params",
-    "cosine_similarity",
-    "dequantize",
-    "effective_bits",
-    "fused_group_gemm",
-    "group_view",
-    "int_format",
-    "mixed_precision_gemm",
-    "mse",
-    "pack_codes",
-    "packed_nbytes",
-    "quantize_asymmetric",
-    "quantize_symmetric",
-    "quantize_tensor",
-    "quantized_gemm",
-    "relative_error",
-    "sqnr_db",
-    "symmetric_scale",
-    "ungroup_view",
-    "unpack_codes",
-]

@@ -16,11 +16,9 @@ Two families are modelled:
     outlier container.  Rounding onto the grid is round-to-nearest-even on
     the representable values.
 
-``MXFormat``
-    Microscaling block format (Rouhani et al., 2023): blocks of ``block_size``
-    elements share one power-of-two 8-bit exponent scale, with each element
-    stored in a narrow element format.  The paper's §6 notes Blackwell GPUs
-    support MX natively, mitigating Atom's group-quantization overhead.
+The MX (microscaling) variant of the paper's §6 is not a format here: it
+is an integer grid whose scales are powers of two (``fmt="mx"`` in
+:mod:`repro.core.linear` and :mod:`repro.core.gptq`).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 __all__ = [
     "IntFormat",
     "FloatFormat",
-    "MXFormat",
     "INT2",
     "INT3",
     "INT4",
@@ -41,7 +38,6 @@ __all__ = [
     "INT8",
     "FP4_E2M1",
     "FP8_E4M3",
-    "int_format",
 ]
 
 
@@ -81,10 +77,6 @@ class IntFormat:
     def n_levels(self) -> int:
         return 1 << self.bits
 
-    def storage_dtype(self) -> np.dtype:
-        """Smallest NumPy integer dtype that can hold quantized values."""
-        return np.dtype(np.int8) if self.bits <= 8 else np.dtype(np.int16)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
@@ -94,13 +86,6 @@ INT3 = IntFormat(3)
 INT4 = IntFormat(4)
 INT6 = IntFormat(6)
 INT8 = IntFormat(8)
-
-_INT_FORMATS = {f.bits: f for f in (INT2, INT3, INT4, INT6, INT8)}
-
-
-def int_format(bits: int) -> IntFormat:
-    """Return the canonical :class:`IntFormat` for ``bits`` (creating if needed)."""
-    return _INT_FORMATS.get(bits) or IntFormat(bits)
 
 
 def _minifloat_grid(exp_bits: int, man_bits: int, *, has_inf: bool = False) -> np.ndarray:
@@ -171,62 +156,3 @@ def _grid_cache(exp_bits: int, man_bits: int) -> np.ndarray:
 
 FP4_E2M1 = FloatFormat("FP4_E2M1", exp_bits=2, man_bits=1)
 FP8_E4M3 = FloatFormat("FP8_E4M3", exp_bits=4, man_bits=3)
-
-
-@dataclass(frozen=True)
-class MXFormat:
-    """Microscaling block format: shared power-of-two scale per block.
-
-    ``element`` is the per-element format (an :class:`IntFormat` or
-    :class:`FloatFormat`); ``block_size`` elements along the last axis share
-    one 8-bit exponent (E8M0) scale.
-    """
-
-    element: "IntFormat | FloatFormat"
-    block_size: int = 32
-
-    @property
-    def name(self) -> str:
-        return f"MX[{self.element.name}x{self.block_size}]"
-
-    def quantize(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Quantize ``x`` (last axis divisible by ``block_size``).
-
-        Returns ``(codes, scales)`` where ``codes`` are the rounded element
-        values *before* applying the shared scale and ``scales`` are
-        power-of-two block scales, one per block.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] % self.block_size != 0:
-            raise ValueError(
-                f"last axis ({x.shape[-1]}) must be divisible by block_size "
-                f"({self.block_size})"
-            )
-        blocks = x.reshape(*x.shape[:-1], -1, self.block_size)
-        amax = np.abs(blocks).max(axis=-1, keepdims=True)
-        if isinstance(self.element, FloatFormat):
-            elem_max = self.element.max_value
-        else:
-            elem_max = float(self.element.qmax)
-        # Shared scale: smallest power of two such that amax/scale fits the
-        # element range.
-        with np.errstate(divide="ignore"):
-            exp = np.log2(np.where(amax > 0, amax / elem_max, 1.0))
-        scales = np.exp2(np.ceil(exp))
-        scaled = blocks / scales
-        if isinstance(self.element, FloatFormat):
-            codes = self.element.round(scaled)
-        else:
-            codes = np.clip(
-                np.round(scaled), self.element.qmin, self.element.qmax
-            )
-        return codes, scales
-
-    def quantize_dequantize(self, x: np.ndarray) -> np.ndarray:
-        """Round ``x`` onto the MX grid and return the float reconstruction."""
-        codes, scales = self.quantize(x)
-        out = codes * scales
-        return out.reshape(np.asarray(x).shape)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name

@@ -1,17 +1,10 @@
-"""Quantization error metrics and effective-bit accounting."""
+"""Quantization error metric."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "relative_error", "sqnr_db", "cosine_similarity", "effective_bits"]
-
-
-def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Mean squared error between a tensor and its reconstruction."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    return float(np.mean((x - x_hat) ** 2))
+__all__ = ["relative_error"]
 
 
 def relative_error(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -22,48 +15,3 @@ def relative_error(x: np.ndarray, x_hat: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0 if np.linalg.norm(x_hat) == 0.0 else float("inf")
     return float(np.linalg.norm(x - x_hat) / denom)
-
-
-def sqnr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Signal-to-quantization-noise ratio in dB (higher is better)."""
-    x = np.asarray(x, dtype=np.float64)
-    noise = mse(x, x_hat)
-    signal = float(np.mean(x**2))
-    if noise == 0.0:
-        return float("inf")
-    if signal == 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(signal / noise))
-
-
-def cosine_similarity(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Cosine similarity between flattened tensors."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    b = np.asarray(x_hat, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0 if na == nb else 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def effective_bits(
-    n_channels: int,
-    n_outlier: int,
-    low_bits: int,
-    *,
-    high_bits: int = 8,
-    group_size: int = 128,
-    scale_bits: int = 16,
-) -> float:
-    """Average bits per element including quantization parameters.
-
-    Reproduces the paper's footnote 1: with 4096 channels, 128 INT8 outliers,
-    group size 128 and FP16 scales, Atom's effective bit-width is
-    ``((4096-128)*4 + 128*8)/4096 + 16/128 = 4.25``.
-    """
-    if n_outlier > n_channels:
-        raise ValueError(f"n_outlier ({n_outlier}) exceeds n_channels ({n_channels})")
-    if n_channels <= 0 or group_size <= 0:
-        raise ValueError("n_channels and group_size must be positive")
-    code = ((n_channels - n_outlier) * low_bits + n_outlier * high_bits) / n_channels
-    return code + scale_bits / group_size

@@ -1,12 +1,12 @@
 """Numerical guardrails for the offline quantization pipeline.
 
 The Atom recipe is a long open-loop computation: calibration capture, channel
-reordering, clip-factor search, per-layer GPTQ.  Several well-known hazards
-can silently poison its outputs — NaN/Inf calibration activations propagate
-into Hessians and scales, all-zero channels produce zero (or subnormal) group
-scales whose reciprocals explode, and an ill-conditioned Hessian makes the
-GPTQ Cholesky factorization fail or emit garbage (the original GPTQ paper
-already dampens the Hessian diagonal for exactly this reason).
+reordering, per-layer GPTQ.  Several well-known hazards can silently poison
+its outputs — NaN/Inf calibration activations propagate into Hessians and
+scales, all-zero channels produce zero (or subnormal) group scales whose
+reciprocals explode, and an ill-conditioned Hessian makes the GPTQ Cholesky
+factorization fail or emit garbage (the original GPTQ paper already dampens
+the Hessian diagonal for exactly this reason).
 
 This module is the shared vocabulary for detecting and reporting those
 hazards:
@@ -62,8 +62,9 @@ __all__ = [
 ]
 
 #: Scales at or below this floor are considered degenerate (matches the
-#: epsilon clamp used by :mod:`repro.quant.uniform` and the GPTQ slice
-#: scales, so "degenerate" == "the clamp actually fired").
+#: epsilon clamp of the weight slice scales in :mod:`repro.core.gptq` and
+#: of the activation quantizer in :mod:`repro.core.linear`, so
+#: "degenerate" == "the clamp actually fired").
 DEGENERATE_SCALE_EPS = 1e-12
 
 #: Event kinds that raise :class:`NumericalError` in strict mode.

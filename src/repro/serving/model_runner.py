@@ -17,7 +17,9 @@ positions:
 - prefill runs ``model.forward(prompt)`` (one pass when unchunked — the
   bit-identity configuration) and the prompt-completing pass samples the
   first output token, matching the engine's token accounting;
-- every decode step runs ``model.forward([[last]], pos_offset=len-1)``;
+- every decode step runs :meth:`~repro.models.llama.LlamaModel.forward_batch`,
+  whose row for a request is byte-identical to
+  ``model.forward([[last]], pos_offset=len-1)``;
 - sampling goes through :func:`repro.models.llama.sample_token` with a
   per-request generator seeded from ``(seed, request_id)``, the same
   construction the oracle uses — so recompute-after-preemption replays the
@@ -274,24 +276,6 @@ class ModelRunner:
         state.tokens.append(nxt)
         return nxt
 
-    def decode_one(self, request_id: int) -> int:
-        """One decode step: forward the last token, sample the next.
-
-        The serving path decodes through :meth:`decode_batch`; this
-        per-request step is the runner-level reference that batched decode
-        is tested against (same tokens, same rng states).
-        """
-        state = self._states[request_id]
-        last = state.tokens[-1]
-        logits = self.model.forward(
-            np.asarray([[last]]),
-            pos_offset=len(state.tokens) - 1,
-            cache=state.cache,
-        )[0, -1]
-        nxt = sample_token(logits, self.temperature, state.rng)
-        state.tokens.append(nxt)
-        return nxt
-
     def decode_batch(self, request_ids: "list[int]") -> list[int]:
         """One fused decode step for many requests (single batched forward).
 
@@ -299,8 +283,8 @@ class ModelRunner:
         :meth:`~repro.models.llama.LlamaModel.forward_batch` call — one
         batched linear per projection per layer instead of a full forward
         per request — then samples each request from its own rng stream.
-        Tokens and rng states are bit-identical to calling
-        :meth:`decode_one` per request in any order (the batched path is
+        Tokens and rng states are bit-identical to one ``forward`` decode
+        step per request in any order (the batched path is
         batch-size-invariant and sampling is per-request).
         """
         if not request_ids:

@@ -146,9 +146,6 @@ class PagedKVAllocator:
     def pages_for(self, n_tokens: int) -> int:
         return math.ceil(n_tokens / self.page_size)
 
-    def can_allocate(self, n_tokens: int) -> bool:
-        return self.pages_for(n_tokens) <= self.free_pages
-
     def _page_delta(self, request_id: int, delta: int) -> None:
         self.telemetry.emit(
             PagePoolDelta,

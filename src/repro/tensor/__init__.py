@@ -6,7 +6,8 @@ the accuracy experiments are trained with this engine.  It implements exactly
 the ops a Llama-style decoder needs — broadcast arithmetic, matmul, reshape /
 transpose, embedding gather, SiLU, softmax, RMSNorm, rotary position
 embeddings and a fused softmax-cross-entropy — each with a hand-written
-backward pass, plus AdamW and gradient-checking utilities.
+backward pass, plus AdamW.  The finite-difference gradient check these
+backward passes are tested against is ``tests/tensor/gradcheck.py``.
 """
 
 from repro.tensor.tensor import (
@@ -23,7 +24,6 @@ from repro.tensor.tensor import (
     softmax,
 )
 from repro.tensor.optim import AdamW, clip_grad_norm
-from repro.tensor.gradcheck import gradcheck
 from repro.tensor.init import normal_init, zeros_init
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "clip_grad_norm",
     "cross_entropy",
     "embedding",
-    "gradcheck",
     "matmul",
     "mul",
     "normal_init",

@@ -17,7 +17,9 @@ replaced, kept only as test oracles:
 - :func:`rms_norm_reference` and :func:`rope_reference` — RMSNorm and RoPE
   as the plain formulas (``np.mean``; a concatenated rotation);
 - :func:`quantize_sequential_full` — sequential calibration that re-runs a
-  full forward of the partially quantized model per layer (O(L^2)).
+  full forward of the partially quantized model per layer (O(L^2));
+- :func:`decode_one` — one request's decode step through ``forward``, the
+  runner-level oracle of ``ModelRunner.decode_batch``.
 
 Import it the way ``tests/serving/chaos.py`` is imported: pytest puts this
 directory on ``sys.path``.
@@ -30,7 +32,8 @@ import numpy as np
 from repro.core.atom import AtomQuantizer
 from repro.core.kv_quant import AtomKVCodec
 from repro.core.linear import AtomLinear, _dynamic_act_quant
-from repro.models.llama import LinearImpl, LlamaModel, key_bucket
+from repro.models.llama import LinearImpl, LlamaModel, key_bucket, sample_token
+from repro.serving.model_runner import ModelRunner
 
 
 U32 = 2.0**-24  # unit roundoff of float32
@@ -337,3 +340,18 @@ def quantize_sequential_full(
     if quantizer.config.kv_bits is not None:
         qmodel.kv_codec = AtomKVCodec(quantizer.config.kv_bits)
     return qmodel
+
+
+def decode_one(runner: ModelRunner, request_id: int) -> int:
+    """One decode step of one request: forward its last token, sample the
+    next from its own rng.  ``runner.decode_batch`` must give the same
+    tokens and rng states as this per request, in any order."""
+    state = runner._states[request_id]
+    logits = runner.model.forward(
+        np.asarray([[state.tokens[-1]]]),
+        pos_offset=len(state.tokens) - 1,
+        cache=state.cache,
+    )[0, -1]
+    nxt = sample_token(logits, runner.temperature, state.rng)
+    state.tokens.append(nxt)
+    return nxt

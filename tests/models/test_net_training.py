@@ -5,7 +5,7 @@ import pytest
 
 from repro.models.config import ModelConfig
 from repro.models.net import TrainableLlama
-from repro.tensor import gradcheck
+from tensor.gradcheck import gradcheck  # tests/tensor/gradcheck.py (pytest puts tests/ on sys.path)
 
 
 @pytest.fixture(scope="module")

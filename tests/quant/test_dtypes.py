@@ -1,4 +1,5 @@
-"""Number formats: integer ranges, minifloat grids, MX block scaling."""
+"""Number formats: integer ranges, minifloat grids, and the MX (power-of-two
+scale) variant of the executed weight and activation quantizers."""
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from repro.quant.dtypes import (
     INT3,
     INT4,
     INT8,
-    MXFormat,
-    int_format,
 )
+from repro.core.gptq import rtn_weight_quantize
+from repro.core.groups import make_group_slices
+from repro.core.linear import _dynamic_act_quant
 
 
 class TestIntFormat:
@@ -38,17 +40,19 @@ class TestIntFormat:
         assert INT4.n_levels == 16
 
     def test_storage_dtype(self):
-        assert INT8.storage_dtype() == np.int8
-        assert IntFormat(12).storage_dtype() == np.int16
+        """The executed weight quantizer stores INT and MX codes as int8."""
+        w = np.random.default_rng(0).normal(size=(4, 16))
+        slices = make_group_slices(
+            16, n_outlier=4, group_size=None, body_bits=4, outlier_bits=8
+        )
+        for fmt in ("int", "mx"):
+            codes = rtn_weight_quantize(w, slices, fmt=fmt).codes
+            assert [c.dtype for c in codes] == [np.int8, np.int8]
 
     @pytest.mark.parametrize("bits", [0, 1, 17, -3])
     def test_invalid_bits_rejected(self, bits):
         with pytest.raises(ValueError):
             IntFormat(bits)
-
-    def test_int_format_lookup_returns_canonical(self):
-        assert int_format(4) is INT4
-        assert int_format(5).bits == 5
 
 
 class TestFP4Grid:
@@ -99,47 +103,46 @@ class TestFP4Grid:
 
 
 class TestMXFormat:
-    def test_block_scales_are_powers_of_two(self, rng):
-        m = MXFormat(FP4_E2M1, block_size=32)
-        _, scales = m.quantize(rng.normal(size=(4, 64)))
-        log2 = np.log2(scales)
-        np.testing.assert_allclose(log2, np.round(log2))
+    """``fmt="mx"``: integer codes under power-of-two scales, one scale per
+    group slice of a weight row (``rtn_weight_quantize``) or per token of an
+    activation slice (``_dynamic_act_quant``).  Scale exponents and code
+    ranges at unit magnitude are pinned in ``tests/core/test_extensions.py``."""
 
-    def test_block_size_divisibility_enforced(self, rng):
-        m = MXFormat(FP4_E2M1, block_size=32)
-        with pytest.raises(ValueError, match="divisible"):
-            m.quantize(rng.normal(size=(4, 60)))
+    @staticmethod
+    def _mx_weight(w, group_size, bits=4):
+        slices = make_group_slices(
+            w.shape[1], n_outlier=0, group_size=group_size, body_bits=bits,
+            outlier_bits=None,
+        )
+        return rtn_weight_quantize(w, slices, fmt="mx")
 
     def test_roundtrip_shape(self, rng):
-        m = MXFormat(FP4_E2M1, block_size=16)
-        x = rng.normal(size=(3, 48))
-        assert m.quantize_dequantize(x).shape == x.shape
+        w = rng.normal(size=(3, 48))
+        assert self._mx_weight(w, 16).dequantize().shape == w.shape
 
     def test_values_fit_element_range_after_scaling(self, rng):
-        m = MXFormat(FP4_E2M1, block_size=32)
-        codes, _ = m.quantize(rng.normal(size=(8, 64)) * 100)
-        assert np.abs(codes).max() <= FP4_E2M1.max_value
+        sliced = self._mx_weight(rng.normal(size=(8, 64)) * 100, 32)
+        for codes in sliced.codes:
+            assert INT4.qmin <= codes.min() and codes.max() <= INT4.qmax
 
     def test_int8_element_variant(self, rng):
-        m = MXFormat(INT8, block_size=32)
         x = rng.normal(size=(4, 64))
-        err = np.abs(m.quantize_dequantize(x) - x).max()
+        codes, scale = _dynamic_act_quant(x, 8, 1.0, "mx")
+        err = np.abs(codes * scale - x).max()
         # INT8 blocks should reconstruct within ~1% of block max.
         assert err < 0.02 * np.abs(x).max()
 
     def test_zero_block(self):
-        m = MXFormat(FP4_E2M1, block_size=32)
-        out = m.quantize_dequantize(np.zeros((1, 32)))
+        codes, scale = _dynamic_act_quant(np.zeros((1, 32)), 4, 1.0, "mx")
+        assert np.isfinite(scale).all()
+        np.testing.assert_array_equal(codes * scale, 0.0)
+        out = self._mx_weight(np.zeros((2, 32)), 32).dequantize()
         np.testing.assert_array_equal(out, 0.0)
 
     def test_relative_error_bounded(self, rng):
-        m = MXFormat(FP4_E2M1, block_size=32)
-        x = rng.normal(size=(16, 64))
-        rel = np.linalg.norm(m.quantize_dequantize(x) - x) / np.linalg.norm(x)
-        assert rel < 0.35  # FP4 has ~2 significant bits
-
-    def test_name(self):
-        assert MXFormat(FP4_E2M1, 32).name == "MX[FP4_E2M1x32]"
+        w = rng.normal(size=(16, 64))
+        rel = np.linalg.norm(self._mx_weight(w, 32).dequantize() - w) / np.linalg.norm(w)
+        assert rel < 0.35  # INT4 under a power-of-two scale: ~2-3 bits of signal
 
 
 @pytest.fixture()

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.gptq import DAMP_ESCALATION, gptq_quantize, hessian, rtn_weight_quantize
 from repro.core.groups import make_group_slices
-from repro.quant import INT4
-from repro.quant.granularity import Granularity
+from repro.core.kv_quant import AtomKVCodec
+from repro.core.linear import AtomLinear
 from repro.quant.guards import (
     DEGENERATE_SCALE_EPS,
     FALLBACK_KINDS,
@@ -27,7 +27,6 @@ from repro.quant.guards import (
     count_degenerate_scales,
     strict_mode_default,
 )
-from repro.quant.uniform import dequantize, quantize_tensor, symmetric_scale
 
 N_IN = 16
 
@@ -117,59 +116,73 @@ class TestChecks:
 
 
 # --------------------------------------------------------------------------- #
-# Degenerate inputs to the uniform quantizers
+# Degenerate inputs to the executed quantizers
 # --------------------------------------------------------------------------- #
+def _zero_group_weight(rng):
+    """A 4-row weight whose first 8-channel group is all zero."""
+    w = rng.normal(size=(4, N_IN))
+    w[:, :8] = 0.0
+    return w
+
+
+def _weight_quantizers(rng):
+    """``(name, quantize(w, **kw))`` for RTN and GPTQ on ``slices16()``."""
+    h = hessian(rng.normal(size=(32, N_IN)))
+    return [
+        ("rtn", lambda w, **kw: rtn_weight_quantize(w, slices16(), **kw)),
+        ("gptq", lambda w, **kw: gptq_quantize(w, h, slices16(), **kw)),
+    ]
+
+
 class TestDegenerateScales:
-    def test_all_zero_group_roundtrips_exactly(self):
-        rep = QuantHealthReport()
-        x = np.zeros((4, 16))
-        qt = quantize_tensor(
-            x, INT4, Granularity.PER_GROUP, group_size=8, health=rep, where="z"
-        )
-        assert np.isfinite(qt.scale).all()
-        np.testing.assert_array_equal(qt.dequantize(), x)
-        assert rep.counts()["degenerate_scale"] == qt.scale.size
+    def test_all_zero_group_roundtrips_exactly(self, rng):
+        w = _zero_group_weight(rng)
+        for name, quantize in _weight_quantizers(rng):
+            rep = QuantHealthReport()
+            sliced = quantize(w, health=rep, where=name)
+            assert_finite(sliced)
+            np.testing.assert_array_equal(sliced.dequantize()[:, :8], 0.0)
+            # One clamped scale per output row of the zero group.
+            assert rep.counts() == {"degenerate_scale": 4}, name
 
     def test_constant_channel_asymmetric_roundtrips(self):
-        rep = QuantHealthReport()
-        x = np.full((4, 8), 3.25)
-        qt = quantize_tensor(
-            x,
-            INT4,
-            Granularity.PER_CHANNEL,
-            symmetric=False,
-            health=rep,
-            where="c",
-        )
-        assert np.isfinite(qt.scale).all()
-        np.testing.assert_allclose(qt.dequantize(), x)
-        assert "degenerate_scale" in rep.counts()
+        """The asymmetric KV codec on zero-range head vectors (the scale
+        clamp fires): each decodes to exactly its constant."""
+        kv = np.full((2, 3, 5, 16), 3.25, dtype=np.float32)
+        kv[0, 1] = 0.0
+        kv[1, 2] = -7.5e-3
+        for bits in (2, 4, 8):
+            out = AtomKVCodec(bits).encode_decode(kv, "kv")
+            np.testing.assert_array_equal(out, kv)
 
-    def test_mixed_zero_and_live_rows(self):
-        rep = QuantHealthReport()
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 8))
+    def test_mixed_zero_and_live_rows(self, rng):
+        """All-zero activations through AtomLinear (the per-token scale
+        clamp fires): finite, and exactly zero output rows."""
+        slices = make_group_slices(
+            N_IN, n_outlier=4, group_size=4, body_bits=4, outlier_bits=8
+        )
+        lin = AtomLinear(
+            rtn_weight_quantize(rng.normal(size=(6, N_IN)), slices),
+            perm=None,
+            a_bits=4,
+            act_clip=0.9,
+        )
+        x = rng.normal(size=(4, N_IN))
         x[1] = 0.0
-        scale = symmetric_scale(x, INT4, axis=(1,), health=rep, where="rows")
-        assert np.isfinite(scale).all() and (scale > 0).all()
-        assert rep.counts()["degenerate_scale"] == 1
-        q = np.round(x / scale)
-        np.testing.assert_array_equal(dequantize(q, scale)[1], np.zeros(8))
+        y = lin(x)
+        assert np.isfinite(y).all()
+        np.testing.assert_array_equal(y[1], 0.0)
+        np.testing.assert_array_equal(lin(np.zeros((3, N_IN))), 0.0)
 
-    def test_health_none_is_bit_identical(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 16))
-        a = quantize_tensor(x, INT4, Granularity.PER_GROUP, group_size=8)
-        b = quantize_tensor(
-            x,
-            INT4,
-            Granularity.PER_GROUP,
-            group_size=8,
-            health=QuantHealthReport(),
-            where="x",
-        )
-        np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(a.scale, b.scale)
+    def test_health_none_is_bit_identical(self, rng):
+        w = _zero_group_weight(rng)
+        for name, quantize in _weight_quantizers(rng):
+            a = quantize(w)
+            b = quantize(w, health=QuantHealthReport(), where=name)
+            for ca, cb in zip(a.codes, b.codes):
+                np.testing.assert_array_equal(ca, cb)
+            for sa, sb in zip(a.scales, b.scales):
+                np.testing.assert_array_equal(sa, sb)
 
 
 # --------------------------------------------------------------------------- #

@@ -37,6 +37,7 @@ from repro.serving import (
     read_jsonl,
     write_jsonl,
 )
+from core.reference import decode_one  # tests/core/reference.py (pytest puts tests/ on sys.path)
 
 CONFIG = ModelConfig(
     "numeric-test",
@@ -296,7 +297,7 @@ class TestDecodeBatchProperty:
                     runner.decode_batch(ids)
                 else:
                     for i in ids:
-                        runner.decode_one(i)
+                        decode_one(runner, i)
             return {i: runner.tokens(i).tolist() for i in ids}
 
         assert run(True) == run(False)
@@ -332,7 +333,7 @@ class TestDecodeBatchProperty:
         steps = {0: 7, 1: 7, 2: 5, 3: 7}
         for i in ids:
             for _ in range(steps[i]):
-                oracle.decode_one(i)
+                decode_one(oracle, i)
         for i in ids:
             np.testing.assert_array_equal(
                 runner.tokens(i),
@@ -354,7 +355,7 @@ class TestDecodeBatchProperty:
                     runner.decode_batch(ids)
                 else:
                     for i in ids:
-                        runner.decode_one(i)
+                        decode_one(runner, i)
             return {i: runner.tokens(i).tolist() for i in ids}
 
         assert run(True) == run(False)

@@ -31,6 +31,7 @@ from repro.serving import (
     synthetic_prompt,
 )
 from repro.serving.models import serving_spec_for
+from core.reference import decode_one  # tests/core/reference.py (pytest puts tests/ on sys.path)
 
 #: Small GQA config for fast numeric runs (4 query heads per KV head).
 NUMERIC_TEST_CONFIG = ModelConfig(
@@ -305,7 +306,7 @@ class TestPreemptionRecompute:
         def run_once():
             runner.start(0, prefill)
             runner.prefill_chunk(0, 0, prefill)
-            toks = [runner.decode_one(0) for _ in range(decode - 1)]
+            toks = [decode_one(runner, 0) for _ in range(decode - 1)]
             out = np.asarray(runner.tokens(0))
             runner.release(0)
             return toks, out
@@ -314,8 +315,8 @@ class TestPreemptionRecompute:
         # Simulate preemption after 2 decode steps, then full recompute.
         runner.start(0, prefill)
         runner.prefill_chunk(0, 0, prefill)
-        runner.decode_one(0)
-        runner.decode_one(0)
+        decode_one(runner, 0)
+        decode_one(runner, 0)
         runner.release(0)  # killed mid-decode; pages freed
         assert runner.store.used_pages == 0
         second_toks, second = run_once()
@@ -483,7 +484,7 @@ class TestBatchedVsSequential:
                     runner.decode_batch(ids)
                 else:
                     for i in ids:
-                        runner.decode_one(i)
+                        decode_one(runner, i)
             states = {
                 i: runner._states[i].rng.bit_generator.state for i in ids
             }

@@ -1,4 +1,9 @@
-"""Finite-difference gradient checking for the autograd ops."""
+"""Finite-difference gradient checking for the autograd ops.
+
+The oracle the hand-written backward passes of :mod:`repro.tensor` are
+checked against.  Import it as ``tensor.gradcheck``: pytest puts ``tests/``
+on ``sys.path``.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +12,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.tensor.tensor import Tensor
-
-__all__ = ["gradcheck"]
 
 
 def gradcheck(

@@ -8,12 +8,12 @@ from repro.tensor import (
     cat,
     cross_entropy,
     embedding,
-    gradcheck,
     rms_norm,
     rope,
     silu,
     softmax,
 )
+from tensor.gradcheck import gradcheck  # tests/tensor/gradcheck.py (pytest puts tests/ on sys.path)
 
 
 @pytest.fixture()

@@ -12,7 +12,6 @@ import numpy as np
 from benchmarks.conftest import paper_note
 from repro.bench import ascii_bars, format_table, save_artifact
 from repro.core.outliers import (
-    calibration_activations,
     identify_outliers,
     reorder_permutation,
     sample_calibration_tokens,
@@ -21,7 +20,7 @@ from repro.core.outliers import (
 
 def _measure(model):
     calib = sample_calibration_tokens(64, 64)
-    acts = calibration_activations(model, calib)["layers.0.attn_in"]
+    acts = model.capture_site_inputs(calib)["layers.0.attn_in"]
     mean_mag = np.abs(acts).mean(axis=0)
     n_out = model.config.n_outlier
     idx = identify_outliers(acts, n_out)

@@ -12,7 +12,7 @@ import numpy as np
 from benchmarks.conftest import paper_note
 from repro.bench import format_table, save_artifact
 from repro.core.kv_quant import quantize_kv_headwise
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 
 
 def _channel_ratio(x: np.ndarray) -> float:
@@ -22,7 +22,7 @@ def _channel_ratio(x: np.ndarray) -> float:
 
 def _measure(model):
     calib = sample_calibration_tokens(64, 64)
-    acts = calibration_activations(model, calib)["layers.0.attn_in"]
+    acts = model.capture_site_inputs(calib)["layers.0.attn_in"]
     v_cache = acts @ model.weights["layers.0.wv"].T
     k_cache = acts @ model.weights["layers.0.wk"].T
     # Reshape to per-head vectors for the quantization error comparison.

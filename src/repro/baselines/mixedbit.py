@@ -28,7 +28,7 @@ from repro.core.gptq import gptq_quantize, hessian
 from repro.core.groups import GroupSlice
 from repro.core.kv_quant import AtomKVCodec
 from repro.core.linear import AtomLinear
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import LlamaModel, input_site
 
 __all__ = ["MixedBitQuantizer", "DEFAULT_TIERS", "tier_slices"]
@@ -118,7 +118,7 @@ class MixedBitQuantizer:
     ) -> LlamaModel:
         if calib_tokens is None:
             calib_tokens = sample_calibration_tokens(128, 64)
-        site_acts = calibration_activations(model, calib_tokens)
+        site_acts = model.capture_site_inputs(calib_tokens)
         group = (
             self.group_size
             if self.group_size is not None

@@ -24,7 +24,7 @@ import numpy as np
 from repro.baselines.smoothquant import smooth_weights
 from repro.core.atom import AtomQuantizer
 from repro.core.config import AtomConfig
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import LlamaModel
 from repro.quant.dtypes import IntFormat
 
@@ -78,7 +78,7 @@ class OmniQuantLite:
     ) -> LlamaModel:
         if calib_tokens is None:
             calib_tokens = sample_calibration_tokens(128, 64)
-        site_acts = calibration_activations(model, calib_tokens)
+        site_acts = model.capture_site_inputs(calib_tokens)
 
         # 1. Per-site alpha by MSE proxy; we pick one alpha per model as the
         #    median of per-site optima (block-wise optima vary little and a

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.gptq import rtn_weight_quantize
 from repro.core.groups import make_group_slices
 from repro.core.linear import AtomLinear
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import LlamaModel, input_site
 
 __all__ = ["QLLMLite", "disassembly_plan"]
@@ -119,7 +119,7 @@ class QLLMLite:
     ) -> LlamaModel:
         if calib_tokens is None:
             calib_tokens = sample_calibration_tokens(128, 64)
-        site_acts = calibration_activations(model, calib_tokens)
+        site_acts = model.capture_site_inputs(calib_tokens)
         plans = {
             site: disassembly_plan(
                 acts, threshold=self.threshold, max_copies=self.max_copies

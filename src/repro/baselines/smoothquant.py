@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.atom import AtomQuantizer
 from repro.core.config import AtomConfig
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import LlamaModel
 
 __all__ = ["SmoothQuantQuantizer", "smooth_weights"]
@@ -118,7 +118,7 @@ class SmoothQuantQuantizer:
     ) -> LlamaModel:
         if calib_tokens is None:
             calib_tokens = sample_calibration_tokens(128, 64)
-        site_acts = calibration_activations(model, calib_tokens)
+        site_acts = model.capture_site_inputs(calib_tokens)
         if self.alpha is not None:
             return self._quantize_with_alpha(
                 model, site_acts, self.alpha, calib_tokens

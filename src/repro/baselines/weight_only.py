@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.gptq import gptq_quantize, hessian
 from repro.core.groups import make_group_slices
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import FloatLinear, LlamaModel, input_site
 
 __all__ = ["WeightOnlyGPTQ", "DequantizedLinear"]
@@ -49,7 +49,7 @@ class WeightOnlyGPTQ:
     ) -> LlamaModel:
         if calib_tokens is None:
             calib_tokens = sample_calibration_tokens(128, 64)
-        site_acts = calibration_activations(model, calib_tokens)
+        site_acts = model.capture_site_inputs(calib_tokens)
         group = (
             self.group_size
             if self.group_size is not None

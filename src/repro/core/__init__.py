@@ -22,14 +22,10 @@ Modules map one-to-one onto the paper's §4 design components:
 from repro.core.checkpoint import CheckpointError, CheckpointStore
 from repro.core.config import AtomConfig
 from repro.core.groups import GroupSlice, make_group_slices
-from repro.core.outliers import (
-    calibration_activations,
-    identify_outliers,
-    reorder_permutation,
-)
+from repro.core.outliers import identify_outliers, reorder_permutation
 from repro.core.gptq import gptq_quantize
 from repro.core.kv_quant import AtomKVCodec
-from repro.core.linear import AtomLinear, QuantLinear
+from repro.core.linear import AtomLinear
 from repro.core.atom import AtomQuantizer
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "GroupSlice",
-    "QuantLinear",
-    "calibration_activations",
     "gptq_quantize",
     "identify_outliers",
     "make_group_slices",

@@ -49,9 +49,6 @@ When a telemetry sink (:mod:`repro.serving.telemetry`) is attached via the
 ``t_quant`` (dynamic quantization) and ``t_dense`` (GEMM + epilogue)
 wall-times, so existing trace tooling attributes quantize-vs-GEMM cost with
 no extra instrumentation.
-
-:class:`QuantLinear` is the same machinery with no reorder and no outlier
-tail — the executor used by RTN / SmoothQuant / W8A8-style baselines.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from repro.core.groups import GroupSlice
 from repro.models.llama import LinearImpl, rowwise_matmul
 from repro.quant.dtypes import IntFormat
 
-__all__ = ["AtomLinear", "QuantLinear"]
+__all__ = ["AtomLinear"]
 
 def _dynamic_act_quant(
     x: np.ndarray, bits: int, clip: float, fmt: str, axis: int = 1
@@ -225,7 +222,7 @@ class AtomLinear(LinearImpl):
         )
 
     def with_weight(self, weight: SlicedWeight) -> "AtomLinear":
-        """A linear of this class reading its input exactly like ``self``,
+        """An :class:`AtomLinear` reading its input exactly like ``self``,
         over another weight of the same slice layout."""
         return AtomLinear(
             weight,
@@ -342,28 +339,3 @@ class AtomLinear(LinearImpl):
     def effective_weight_bits(self) -> float:
         """Average stored bits per weight element, incl. scales."""
         return self.weight.storage_bits() / (self._out * self._in)
-
-
-class QuantLinear(AtomLinear):
-    """Uniform quantized linear (no reorder, no outlier tail).
-
-    Convenience for the baselines: per-token activations, per-output-channel
-    (optionally grouped) weights.
-    """
-
-    def __init__(
-        self,
-        weight: SlicedWeight,
-        *,
-        a_bits: int,
-        act_clip: float = 1.0,
-        fmt: str = "int",
-    ) -> None:
-        if any(s.is_outlier for s in weight.slices):
-            raise ValueError("QuantLinear does not support outlier slices")
-        super().__init__(weight, perm=None, a_bits=a_bits, act_clip=act_clip, fmt=fmt)
-
-    def with_weight(self, weight: SlicedWeight) -> "QuantLinear":
-        return QuantLinear(
-            weight, a_bits=self.a_bits, act_clip=self.act_clip, fmt=self.fmt
-        )

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.llama import LlamaModel
-
 __all__ = [
     "identify_outliers",
     "reorder_permutation",
-    "calibration_activations",
     "sample_calibration_tokens",
 ]
 
@@ -74,15 +71,3 @@ def sample_calibration_tokens(
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, len(stream) - seq_len, size=n_sequences)
     return np.stack([stream[s : s + seq_len] for s in starts])
-
-
-def calibration_activations(
-    model: LlamaModel, tokens: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Capture calibration activations keyed by *input site*.
-
-    All consumers of one activation share reorder indices (and, in MoE
-    layers, all experts share them too — the paper's footnote 4), so we key
-    on the site rather than the linear.
-    """
-    return model.capture_site_inputs(tokens)

@@ -9,13 +9,15 @@ This is the substrate every quantization method in the repo plugs into:
 - The KV-cache passes through a :class:`KVCodec`.  The default is identity;
   Atom's asymmetric per-head low-bit codec lives in
   :mod:`repro.core.kv_quant`.
-- KV *storage* is pluggable via ``kv_cache_factory``: any object honouring
-  the :class:`KVCache` protocol (``append(k, v) -> (k, v)``: the live
-  prefix followed by finite padding up to :func:`key_bucket` of the last
-  position) can back the per-layer incremental cache.  The default is the
-  dense preallocated :class:`KVCache`; the serving engine's numeric backend
-  substitutes :class:`repro.serving.paged_kv.PagedKVCache` so one model
-  definition runs over both dense and paged KV with identical numerics.
+- KV *storage* is pluggable through the ``cache`` dict a forward is
+  given: any object honouring the :class:`KVCache` protocol (``append(k,
+  v) -> (k, v)``: the live prefix followed by finite padding up to
+  :func:`key_bucket` of the last position) can back a layer's incremental
+  cache under its ``layers.{i}.kv`` key.  A missing entry gets the dense
+  preallocated :class:`KVCache`; the serving engine's numeric backend
+  pre-populates :class:`repro.serving.paged_kv.PagedKVCache` entries so one
+  model definition runs over both dense and paged KV with identical
+  numerics.
 
 The model also exposes :meth:`capture_site_inputs`, which records the
 activation matrix entering every input site (once per site) during a forward
@@ -364,16 +366,10 @@ class LlamaModel:
         weights: dict[str, np.ndarray],
         *,
         kv_codec: KVCodec | None = None,
-        kv_cache_factory=None,
     ) -> None:
         self.config = config
         self.weights = {k: np.asarray(v, dtype=np.float32) for k, v in weights.items()}
         self.kv_codec = kv_codec or IdentityKVCodec()
-        #: Optional hook ``(batch, n_kv_heads, head_dim, capacity) -> cache``
-        #: deciding what backs a layer's incremental KV.
-        #: ``None`` builds the dense preallocated :class:`KVCache`; the
-        #: serving engine's numeric backend installs a paged factory.
-        self.kv_cache_factory = kv_cache_factory
         self._cos, self._sin = rope_tables(
             config.max_seq_len, config.head_dim, config.rope_theta
         )
@@ -633,10 +629,9 @@ class LlamaModel:
         return y.reshape(b, 1, c.dim)
 
     def _new_kv_cache(self, batch: int, capacity: int):
-        """A layer's incremental KV: ``kv_cache_factory``'s, else dense."""
+        """A layer's incremental KV when its cache entry is missing: the
+        dense preallocated :class:`KVCache`."""
         c = self.config
-        if self.kv_cache_factory is not None:
-            return self.kv_cache_factory(batch, c.n_kv_heads, c.head_dim, capacity)
         return KVCache(
             batch,
             c.n_kv_heads,

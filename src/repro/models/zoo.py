@@ -21,7 +21,7 @@ from repro.models.llama import LlamaModel
 from repro.models.outliers import inject_outlier_channels
 from repro.models.trainer import TrainSpec, train_model
 
-__all__ = ["zoo_cache_dir", "load_weights", "load_model", "clear_cache"]
+__all__ = ["zoo_cache_dir", "load_weights", "load_model"]
 
 
 def zoo_cache_dir() -> Path:
@@ -69,12 +69,3 @@ def load_model(
     if with_outliers:
         weights = inject_outlier_channels(config, weights)
     return LlamaModel(config, weights)
-
-
-def clear_cache() -> int:
-    """Delete every cached checkpoint; returns the number removed."""
-    n = 0
-    for p in zoo_cache_dir().glob("*.npz"):
-        p.unlink()
-        n += 1
-    return n

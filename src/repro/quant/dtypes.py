@@ -31,11 +31,6 @@ import numpy as np
 __all__ = [
     "IntFormat",
     "FloatFormat",
-    "INT2",
-    "INT3",
-    "INT4",
-    "INT6",
-    "INT8",
     "FP4_E2M1",
     "FP8_E4M3",
 ]
@@ -79,13 +74,6 @@ class IntFormat:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
-
-
-INT2 = IntFormat(2)
-INT3 = IntFormat(3)
-INT4 = IntFormat(4)
-INT6 = IntFormat(6)
-INT8 = IntFormat(8)
 
 
 def _minifloat_grid(exp_bits: int, man_bits: int, *, has_inf: bool = False) -> np.ndarray:

@@ -49,7 +49,8 @@ unavailability window are advanced across the gap (downtime is wall time).
 ``EngineRun`` (``pending`` / ``step`` / ``advance_clock`` / ``ledger``),
 so :class:`~repro.serving.frontend.OpenLoopFrontend` drives a cluster
 exactly as it drives a single engine; the replica runs write into the
-cluster's one :class:`~repro.serving.engine.RunLedger`.
+cluster's one :class:`~repro.serving.engine.RunLedger` and read their
+requests' deadlines from it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.data.sharegpt import TURN_STRIDE
 from repro.serving.engine import (
     EngineRun,
     RunLedger,
@@ -100,11 +102,6 @@ __all__ = [
 
 #: Replica health lattice (see the state machine in ``ClusterRun``).
 REPLICA_STATES = ("healthy", "suspect", "down", "draining")
-
-#: Requests whose ids share ``request_id // TURN_STRIDE`` belong to one
-#: conversation (the ShareGPT multi-round addressing used repo-wide by
-#: ``repro.data.sharegpt`` and ``model_runner.conversation_prompt``).
-TURN_STRIDE = 64
 
 _EMPTY_PLAN = FaultPlan()
 
@@ -772,22 +769,6 @@ class ClusterEngine:
         self.down_after = down_after
         self.retry_budget = retry_budget
         self.health_interval_s = health_interval_s
-
-    # -- deadline plumbing (shared dict across replicas) ------------------ #
-    @property
-    def deadline_s(self):
-        """Deadline config, shared by every replica engine.
-
-        The setter assigns the *same* object to all replicas, so the
-        open-loop front-end's per-request deadline dict mutations are
-        visible everywhere a request might be (re-)routed.
-        """
-        return self.engines[0].deadline_s
-
-    @deadline_s.setter
-    def deadline_s(self, value) -> None:
-        for engine in self.engines:
-            engine.deadline_s = value
 
     # -- run API ----------------------------------------------------------- #
     def start_run(

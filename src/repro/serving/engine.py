@@ -36,8 +36,9 @@ Every request ends in exactly one **terminal state** (recorded in
 ``finished``
     All decode tokens delivered.  Only these count toward throughput.
 ``timed_out``
-    Missed its deadline (``deadline_s``), queued or in-flight; its pages
-    are released immediately.
+    Missed its deadline, queued or in-flight; its pages are released
+    immediately.  A request's deadline is its entry in the run's
+    :attr:`RunLedger.deadlines`, else the engine's ``deadline_s``.
 ``cancelled``
     Abandoned by the client (injected via a
     :class:`~repro.serving.faults.FaultPlan`), queued or in-flight.
@@ -238,7 +239,12 @@ class _Active:
 
 
 class ServingEngine:
-    """FCFS continuous-batching simulator for one (model, scheme, GPU)."""
+    """FCFS continuous-batching simulator for one (model, scheme, GPU).
+
+    ``deadline_s`` is the default absolute deadline (simulated seconds) of
+    every request the run's :attr:`RunLedger.deadlines` has no entry for;
+    ``None`` leaves such requests without one.
+    """
 
     def __init__(
         self,
@@ -253,7 +259,7 @@ class ServingEngine:
         tp: TPConfig | None = None,
         prefill_chunk: int | None = None,
         telemetry: Telemetry | None = None,
-        deadline_s: "float | dict[int, float] | None" = None,
+        deadline_s: "float | None" = None,
         shed_policy: str = "raise",
         max_alloc_retries: int = 3,
         backoff_base_s: float = 1e-3,
@@ -270,7 +276,7 @@ class ServingEngine:
             raise ValueError("prefill_chunk must be >= 1 (or None)")
         if shed_policy not in ("raise", "drop"):
             raise ValueError(f"unknown shed policy: {shed_policy!r}")
-        if isinstance(deadline_s, (int, float)) and deadline_s <= 0:
+        if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if max_alloc_retries < 0:
             raise ValueError("max_alloc_retries must be >= 0")
@@ -334,14 +340,6 @@ class ServingEngine:
         self.cache_aware_preempt = cache_aware_preempt
 
     # ------------------------------------------------------------------ #
-    def _deadline_for(self, request_id: int) -> float:
-        """Absolute deadline (simulated seconds) for one request."""
-        if self.deadline_s is None:
-            return float("inf")
-        if isinstance(self.deadline_s, dict):
-            return self.deadline_s.get(request_id, float("inf"))
-        return float(self.deadline_s)
-
     def reserve_tokens(self, request: Request) -> int:
         """KV tokens an admission reserves: the request's full lifetime
         under ``reserve`` admission, its prompt plus one decode token under
@@ -398,17 +396,21 @@ class ServingEngine:
 
 
 class RunLedger:
-    """The per-request record of one run: admissions, first tokens and the
-    one terminal state each request reaches.
+    """The per-request record of one run: deadlines, admissions, first
+    tokens and the one terminal state each request reaches.
 
     A cluster run shares its ledger with every replica run it starts, so
-    each record is written once, by the run that saw it happen.  The
-    engine never reads it back; the open-loop front-end observes per-step
-    deltas through the append-only logs, and :func:`aggregate_runs` counts
-    terminal states from it.
+    each record is written once, by the run that saw it happen, and a
+    deadline registered on the run holds on every replica.  The engine
+    reads back only :attr:`deadlines`; the open-loop front-end observes
+    per-step deltas through the append-only logs, and
+    :func:`aggregate_runs` counts terminal states from it.
     """
 
     def __init__(self) -> None:
+        #: request_id -> absolute deadline (simulated seconds), overriding
+        #: the engine's ``deadline_s`` default for that request.
+        self.deadlines: dict[int, float] = {}
         self.admission_log: list[tuple[int, float]] = []
         self.terminal_log: list[tuple[int, str]] = []
         self.terminal: dict[int, str] = {}
@@ -464,7 +466,6 @@ class EngineRun:
         self.alloc_retries = 0
         self.faults_injected = 0
         self.stall = 0  # consecutive zero-progress iterations (liveness)
-        self.has_deadlines = engine.deadline_s is not None
 
     # The ledger's logs, read off the run by wall-clock drivers.
     admission_log = property(lambda self: self.ledger.admission_log)
@@ -648,9 +649,12 @@ class EngineRun:
 
         # --- Deadline sweep: queued or in-flight requests past their
         # deadline reach the timed_out terminal state.
-        if self.has_deadlines:
+        deadlines, default = self.ledger.deadlines, engine.deadline_s
+        if deadlines or default is not None:
+            default = float("inf") if default is None else default
             self._end_where(
-                "timed_out", lambda rid: self.clock > engine._deadline_for(rid)
+                "timed_out",
+                lambda rid: self.clock > deadlines.get(rid, default),
             )
 
         if not pending and not running:

@@ -481,7 +481,6 @@ class ReplicaFaultSchedule:
         self.down_windows: dict[int, list[tuple[int, int]]] = {}
         self.slow_windows: dict[int, list[tuple[int, int, float]]] = {}
         self.drain_rounds: dict[int, set[int]] = {}
-        horizon = 0
         for f in plan.replica_faults:
             if f.replica >= n_replicas:
                 raise ValueError(
@@ -493,26 +492,18 @@ class ReplicaFaultSchedule:
                 self.crash_round[f.replica] = (
                     f.iteration if prev is None else min(prev, f.iteration)
                 )
-                horizon = max(horizon, f.iteration)
             elif isinstance(f, ReplicaFlapFault):
                 windows = self.down_windows.setdefault(f.replica, [])
                 period = f.down_rounds + f.up_rounds
                 for c in range(f.cycles):
                     start = f.iteration + c * period
                     windows.append((start, start + f.down_rounds))
-                    horizon = max(horizon, start + f.down_rounds)
             elif isinstance(f, ReplicaSlowFault):
                 self.slow_windows.setdefault(f.replica, []).append(
                     (f.iteration, f.iteration + f.duration, f.factor)
                 )
-                horizon = max(horizon, f.iteration + f.duration)
             elif isinstance(f, ReplicaDrainFault):
                 self.drain_rounds.setdefault(f.replica, set()).add(f.iteration)
-                horizon = max(horizon, f.iteration)
-        #: Last round at which any scheduled state change happens; beyond
-        #: it, availability is static (crashed replicas stay down, the rest
-        #: stay up) — the cluster's total-outage guard keys off this.
-        self.horizon = horizon
 
     # ------------------------------------------------------------------ #
     def available(self, replica: int, round_: int) -> bool:

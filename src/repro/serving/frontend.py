@@ -65,8 +65,10 @@ class Interaction:
 
     ``think_s`` is either one gap applied between every pair of turns or a
     sequence with one entry per gap.  ``deadline_s`` is a *relative*
-    per-turn deadline (seconds from that turn's arrival); the front-end
-    registers the absolute deadline with the engine at submission time.
+    per-turn deadline (seconds from that turn's arrival); when the turn
+    arrives, the front-end registers the absolute deadline in the run's
+    :attr:`~repro.serving.engine.RunLedger.deadlines`, where it overrides
+    the engine's ``deadline_s`` default.
     """
 
     interaction_id: int
@@ -151,12 +153,12 @@ class OpenLoopFrontend:
                 raise ValueError("rate_limit_burst requires rate_limit")
             if rate_limit_burst < 1:
                 raise ValueError("rate_limit_burst must be >= 1")
+        if isinstance(scheduler, str):
+            make_scheduler(scheduler)  # reject an unknown name up front
         self.engine = engine
-        self.scheduler = (
-            make_scheduler(scheduler)
-            if isinstance(scheduler, str)
-            else scheduler
-        )
+        #: A registry name (each run gets a fresh instance) or an instance
+        #: used as given.
+        self.scheduler = scheduler
         self.slo_ttft_s = slo_ttft_s
         self.slo_tbt_s = slo_tbt_s
         self.max_queue = max_queue
@@ -198,18 +200,11 @@ class OpenLoopFrontend:
                 )
             by_iid[inter.interaction_id] = inter
 
-        engine, scheduler = self.engine, self.scheduler
-        enforce = self.enforce_deadlines and any(
-            i.deadline_s is not None for i in interactions
+        scheduler = (
+            make_scheduler(self.scheduler)
+            if isinstance(self.scheduler, str)
+            else self.scheduler
         )
-        if enforce:
-            if engine.deadline_s is None:
-                engine.deadline_s = {}
-            elif not isinstance(engine.deadline_s, dict):
-                raise ValueError(
-                    "interactions carry deadlines but the engine has a "
-                    "global deadline_s; use deadline_s=None or a dict"
-                )
 
         arrivals: "list[tuple[float, int, Submission]]" = []
         subs: "dict[int, Submission]" = {}
@@ -244,7 +239,7 @@ class OpenLoopFrontend:
         for inter in interactions:
             submit(inter, 0, inter.arrival_s)
 
-        state: EngineRun = engine.start_run([], faults=faults)
+        state: EngineRun = self.engine.start_run([], faults=faults)
         aborted: "set[int]" = set()
         completed_inters: "set[int]" = set()
         admitted_at: "dict[int, float]" = {}
@@ -311,8 +306,8 @@ class OpenLoopFrontend:
                         continue
                     buckets[sub.tenant] = (tokens - 1.0, sub.arrival_s)
                 waiting.append(sub)
-                if enforce and sub.deadline_s is not None:
-                    engine.deadline_s[sub.request_id] = sub.deadline_s
+                if self.enforce_deadlines and sub.deadline_s is not None:
+                    ledger.deadlines[sub.request_id] = sub.deadline_s
             if shed_on_arrival:
                 process_deltas()
 
@@ -391,7 +386,7 @@ class OpenLoopFrontend:
             slo=slo,
             records=records,
             submissions=[subs[rid] for rid in sorted(subs)],
-            scheduler=self.scheduler.name,
+            scheduler=scheduler.name,
             submitted=len(subs),
             frontend_shed=frontend_shed,
             interactions=len(interactions),

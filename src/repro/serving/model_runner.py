@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.sharegpt import TURN_STRIDE
 from repro.models.llama import LlamaModel, sample_token
 from repro.serving.paged_kv import PagedKVCache, PagedKVStore
 
@@ -72,11 +73,6 @@ def synthetic_prompt(
 #: Tokens per conversation-stream block (see :func:`conversation_prompt`).
 PROMPT_BLOCK = 64
 
-# Conversation ids in the ShareGPT workload address turns as
-# ``cid * TURN_STRIDE + turn`` (repro.data.sharegpt.TURN_STRIDE); imported
-# lazily here to keep this module's dependency surface flat.
-_TURN_STRIDE = 64
-
 
 def conversation_prompt(
     request_id: int, prefill_len: int, vocab_size: int, *, seed: int = 0
@@ -95,7 +91,7 @@ def conversation_prompt(
     seeded ``[seed, 2, cid, block]`` (disjoint from the ``[seed, rid]``
     synthetic-prompt and ``[seed, 1, rid]`` sampling keys).
     """
-    cid = request_id // _TURN_STRIDE
+    cid = request_id // TURN_STRIDE
     n_blocks = -(-max(prefill_len, 1) // PROMPT_BLOCK)
     blocks = [
         np.random.default_rng([seed, 2, cid, block]).integers(
@@ -207,8 +203,7 @@ class ModelRunner:
         )
         # Pre-populate the per-layer KV caches with paged caches over the
         # shared store; the model uses whatever the cache dict holds, so the
-        # model object itself is never mutated (its ``kv_cache_factory``
-        # hook offers the same pluggability for standalone use).
+        # model object itself is never mutated.
         n_layers = self.model.config.n_layers
         if lease is not None and lease.kv_tokens > 0:
             if len(lease.pages) != n_layers:

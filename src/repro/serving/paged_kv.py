@@ -15,8 +15,8 @@ Three layers share the page machinery:
 - :class:`PagedKVCache` — one (request, layer)'s logical KV sequence as a
   page table into a store.  It implements the same ``append -> live views``
   protocol as the dense :class:`repro.models.llama.KVCache`, so a
-  :class:`~repro.models.llama.LlamaModel` runs over paged KV unchanged via
-  its ``kv_cache_factory`` hook.
+  :class:`~repro.models.llama.LlamaModel` runs over paged KV unchanged when
+  the ``cache`` dict its forward is given holds these.
 
 Paged == dense equivalence: ``append`` writes the exact float32 values the
 dense cache would hold (the model applies its KV codec before appending),
@@ -403,8 +403,8 @@ class PagedKVCache:
     Implements the dense :class:`repro.models.llama.KVCache` protocol
     (``append(k_new, v_new) -> (k, v)``: the live prefix, then finite
     padding to :func:`~repro.models.llama.key_bucket` of the last position), so
-    a model constructed with a ``kv_cache_factory`` returning these runs
-    its attention over paged storage with no other change.
+    a model forward whose ``cache`` dict holds these runs its attention over
+    paged storage with no other change.
 
     Values are stored as given: :class:`~repro.models.llama.LlamaModel`
     round-trips K/V through its codec before appending.

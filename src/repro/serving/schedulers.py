@@ -187,8 +187,9 @@ SCHEDULERS = {
 def make_scheduler(name: str) -> BaseScheduler:
     """Instantiate a fresh scheduler by registry name.
 
-    Schedulers are stateful (fair-share keeps a service ledger), so every
-    run gets its own instance.
+    Schedulers are stateful (fair-share keeps a service ledger), so an
+    :class:`~repro.serving.frontend.OpenLoopFrontend` given a name builds
+    a fresh instance for every run.
     """
     try:
         cls = SCHEDULERS[name]

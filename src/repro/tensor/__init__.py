@@ -24,7 +24,7 @@ from repro.tensor.tensor import (
     softmax,
 )
 from repro.tensor.optim import AdamW, clip_grad_norm
-from repro.tensor.init import normal_init, zeros_init
+from repro.tensor.init import normal_init
 
 __all__ = [
     "AdamW",
@@ -41,5 +41,4 @@ __all__ = [
     "rope",
     "silu",
     "softmax",
-    "zeros_init",
 ]

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["normal_init", "zeros_init", "ones_init"]
+__all__ = ["normal_init", "ones_init"]
 
 
 def normal_init(
@@ -19,10 +19,6 @@ def normal_init(
     """Gaussian parameter, GPT-style default std."""
     data = rng.normal(0.0, std, size=shape).astype(np.float32)
     return Tensor(data, requires_grad=True, name=name)
-
-
-def zeros_init(shape: tuple[int, ...], *, name: str = "") -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True, name=name)
 
 
 def ones_init(shape: tuple[int, ...], *, name: str = "") -> Tensor:

@@ -12,7 +12,7 @@ from repro.baselines import (
 )
 from repro.baselines.qllm_lite import disassembly_plan
 from repro.baselines.smoothquant import smooth_weights
-from repro.core.outliers import calibration_activations, sample_calibration_tokens
+from repro.core.outliers import sample_calibration_tokens
 from repro.models.llama import LlamaModel
 
 
@@ -32,23 +32,23 @@ def text_tokens():
 
 class TestSmoothQuant:
     def test_smoothing_is_function_preserving(self, model7b, calib, text_tokens):
-        sites = calibration_activations(model7b, calib)
+        sites = model7b.capture_site_inputs(calib)
         smoothed = LlamaModel(model7b.config, smooth_weights(model7b, sites, 0.5))
         np.testing.assert_allclose(
             model7b.forward(text_tokens), smoothed.forward(text_tokens), atol=1e-3
         )
 
     def test_smoothing_shrinks_activation_outliers(self, model7b, calib):
-        sites = calibration_activations(model7b, calib)
+        sites = model7b.capture_site_inputs(calib)
         smoothed = LlamaModel(model7b.config, smooth_weights(model7b, sites, 0.5))
         before = sites["layers.0.attn_in"]
-        after = calibration_activations(smoothed, calib)["layers.0.attn_in"]
+        after = smoothed.capture_site_inputs(calib)["layers.0.attn_in"]
         ratio_before = np.abs(before).max() / np.median(np.abs(before).max(axis=0))
         ratio_after = np.abs(after).max() / np.median(np.abs(after).max(axis=0))
         assert ratio_after < ratio_before
 
     def test_invalid_alpha_rejected(self, model7b, calib):
-        sites = calibration_activations(model7b, calib)
+        sites = model7b.capture_site_inputs(calib)
         with pytest.raises(ValueError):
             smooth_weights(model7b, sites, 0.0)
 

@@ -8,8 +8,8 @@ replaced, kept only as test oracles:
   it as a model executor), with :func:`slice_loop_operand` (its activation
   codes) and :func:`float32_gemm_bound` (how far the float32 linear may
   sit from it);
-- :class:`ConcatKVCache` — a KV cache that concatenates every step, plugged
-  in through ``LlamaModel(kv_cache_factory=...)``;
+- :class:`ConcatKVCache` — a KV cache that concatenates every step, which
+  :class:`ReferenceModel` builds for every layer cache it creates;
 - :func:`repeat_gqa_attention` — attention over ``np.repeat``-materialized
   K/V heads, one row at a time, with :func:`float32_attention_bound` (how
   far the one attention kernel, ``LlamaModel._attention_rows``, may sit
@@ -150,7 +150,7 @@ class SliceLoopLinear(LinearImpl):
 class ConcatKVCache:
     """KV cache that re-concatenates the whole history on every append."""
 
-    def __init__(self, batch, n_kv_heads, head_dim, capacity) -> None:
+    def __init__(self, batch, n_kv_heads, head_dim) -> None:
         self.k = np.zeros((batch, n_kv_heads, 0, head_dim), dtype=np.float32)
         self.v = self.k
 
@@ -267,9 +267,14 @@ class ReferenceModel(LlamaModel):
     compounds across layers and buckets, and each call is held to the
     derived bound on its own operands.  ``attention_calls`` counts calls
     (one per key bucket per layer), so a test can show the oracle ran.
+    Every layer cache it creates is a :class:`ConcatKVCache`.
     """
 
     attention_calls = 0
+
+    def _new_kv_cache(self, batch, capacity):
+        c = self.config
+        return ConcatKVCache(batch, c.n_kv_heads, c.head_dim)
 
     def _attention_rows(self, q, k, v, positions):
         # Rows of one sequence sit at consecutive positions.
@@ -293,12 +298,7 @@ class ReferenceModel(LlamaModel):
 def reference_model(model: LlamaModel) -> ReferenceModel:
     """``model`` rebuilt on every reference path: concatenating KV cache,
     ``np.repeat`` GQA, and slice-loop AtomLinears (other linears as is)."""
-    ref = ReferenceModel(
-        model.config,
-        model.weights,
-        kv_codec=model.kv_codec,
-        kv_cache_factory=ConcatKVCache,
-    )
+    ref = ReferenceModel(model.config, model.weights, kv_codec=model.kv_codec)
     ref.replace_linears(
         {
             name: SliceLoopLinear(part) if isinstance(part, AtomLinear) else part

@@ -1,12 +1,11 @@
-"""Quantized linear executors (AtomLinear / QuantLinear)."""
+"""The quantized linear executor (AtomLinear)."""
 
 import numpy as np
 import pytest
 
 from repro.core.gptq import rtn_weight_quantize
 from repro.core.groups import make_group_slices
-from repro.core.linear import AtomLinear, QuantLinear, _dynamic_act_quant
-from repro.quant.dtypes import INT4
+from repro.core.linear import AtomLinear, _dynamic_act_quant
 from reference import float32_gemm_bound  # tests/core/reference.py
 
 
@@ -164,18 +163,11 @@ class TestAtomLinear:
         lin = _atom_linear(rng.normal(size=(8, 16)))
         assert lin(rng.normal(size=(2, 16))).dtype == np.float32
 
-
-class TestQuantLinear:
-    def test_rejects_outlier_slices(self, rng):
-        w = rng.normal(size=(8, 16))
-        slices = make_group_slices(16, n_outlier=2, group_size=None, body_bits=4, outlier_bits=8)
-        with pytest.raises(ValueError, match="outlier"):
-            QuantLinear(rtn_weight_quantize(w, slices), a_bits=4)
-
-    def test_basic_accuracy(self, rng):
+    def test_unpermuted_basic_accuracy(self, rng):
+        """No reorder, no outlier tail: a uniform W8A8 linear."""
         w = rng.normal(size=(16, 32))
         x = rng.normal(size=(8, 32))
         slices = make_group_slices(32, n_outlier=0, group_size=None, body_bits=8, outlier_bits=None)
-        lin = QuantLinear(rtn_weight_quantize(w, slices), a_bits=8)
+        lin = AtomLinear(rtn_weight_quantize(w, slices), perm=None, a_bits=8, act_clip=1.0)
         ref = x @ w.T
         assert np.linalg.norm(lin(x) - ref) / np.linalg.norm(ref) < 0.03

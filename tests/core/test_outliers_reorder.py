@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.outliers import (
-    calibration_activations,
     identify_outliers,
     reorder_permutation,
     sample_calibration_tokens,
@@ -101,7 +100,7 @@ class TestCalibration:
 
     def test_calibration_activations_keyed_by_site(self, model7b):
         toks = sample_calibration_tokens(4, 16)
-        sites = calibration_activations(model7b, toks)
+        sites = model7b.capture_site_inputs(toks)
         c = model7b.config
         expected = {
             f"layers.{i}.{s}"
@@ -112,7 +111,7 @@ class TestCalibration:
 
     def test_site_activation_widths(self, model7b):
         toks = sample_calibration_tokens(4, 16)
-        sites = calibration_activations(model7b, toks)
+        sites = model7b.capture_site_inputs(toks)
         c = model7b.config
         assert sites["layers.0.attn_in"].shape[1] == c.dim
         assert sites["layers.0.ffn_hidden"].shape[1] == c.ffn_dim

@@ -23,7 +23,7 @@ from repro.bench.serving_perf import SERVING_BENCH_CONFIG
 from repro.core import AtomConfig, AtomQuantizer
 from repro.core.gptq import rtn_weight_quantize
 from repro.core.groups import make_group_slices
-from repro.core.linear import AtomLinear, QuantLinear
+from repro.core.linear import AtomLinear
 from repro.models.config import ModelConfig
 from repro.models.llama import FloatLinear, SiteFusionError, fuse_site
 from repro.serving import SCHEMES
@@ -55,11 +55,15 @@ def _atom_parts(rng, *, perm=None, act_clip=0.9):
     ]
 
 
-def _quant_linear(rng, out, k):
+def _unpermuted_atom_linear(rng, out, k):
+    """No reorder, no outlier tail: uniform INT4 groups."""
     slices = make_group_slices(
         k, n_outlier=0, group_size=8, body_bits=4, outlier_bits=None
     )
-    return QuantLinear(rtn_weight_quantize(rng.normal(size=(out, k)), slices), a_bits=4)
+    return AtomLinear(
+        rtn_weight_quantize(rng.normal(size=(out, k)), slices),
+        perm=None, a_bits=4, act_clip=1.0,
+    )
 
 
 def _disassembled_parts(rng):
@@ -87,7 +91,9 @@ PART_BUILDERS = {
         DequantizedLinear(rng.normal(size=(out, K)), w_bits=4) for out in OUTS
     ],
     "AtomLinear": _atom_parts,
-    "QuantLinear": lambda rng: [_quant_linear(rng, out, K) for out in OUTS],
+    "UnpermutedAtomLinear": lambda rng: [
+        _unpermuted_atom_linear(rng, out, K) for out in OUTS
+    ],
     "DisassembledLinear": _disassembled_parts,
 }
 
@@ -174,7 +180,7 @@ class TestMismatchRaises:
 
     def test_different_class_leaves_model_unchanged(self):
         model = build_bench_model(TINY, seed=0)
-        quant = _quant_linear(np.random.default_rng(5), TINY.dim, TINY.dim)
+        quant = _unpermuted_atom_linear(np.random.default_rng(5), TINY.dim, TINY.dim)
         before = dict(model.parts), dict(model.linears)
         with pytest.raises(SiteFusionError, match="layers.1.attn_in"):
             model.replace_linears({"layers.1.wq": quant})

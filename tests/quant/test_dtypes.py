@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quant.dtypes import (
-    FP4_E2M1,
-    FP8_E4M3,
-    FloatFormat,
-    IntFormat,
-    INT2,
-    INT3,
-    INT4,
-    INT8,
-)
+from repro.quant.dtypes import FP4_E2M1, FP8_E4M3, FloatFormat, IntFormat
+
+INT4, INT8 = IntFormat(4), IntFormat(8)
 from repro.core.gptq import rtn_weight_quantize
 from repro.core.groups import make_group_slices
 from repro.core.linear import _dynamic_act_quant
@@ -35,8 +28,8 @@ class TestIntFormat:
         assert (INT8.umin, INT8.umax) == (0, 255)
 
     def test_n_levels(self):
-        assert INT2.n_levels == 4
-        assert INT3.n_levels == 8
+        assert IntFormat(2).n_levels == 4
+        assert IntFormat(3).n_levels == 8
         assert INT4.n_levels == 16
 
     def test_storage_dtype(self):

@@ -78,7 +78,11 @@ class ChaosRun:
 
 
 def chaos_scenario(seed: int):
-    """Derive a (workload, plan, engine-kwargs) triple from one seed."""
+    """Derive a (workload, plan, engine-kwargs) triple from one seed.
+
+    The kwargs may carry ``"deadlines"``, absolute per-request deadlines
+    that belong on the run (:func:`run_with_deadlines`), not the engine.
+    """
     rng = np.random.default_rng(seed)
     n_requests = int(rng.integers(24, 56))
     requests = ShareGPTWorkload(
@@ -105,17 +109,30 @@ def chaos_scenario(seed: int):
             if rng.random() < 0.5
         }
         if deadlines:
-            kwargs["deadline_s"] = deadlines
+            kwargs["deadlines"] = deadlines
     return requests, plan, kwargs
+
+
+def run_with_deadlines(engine, requests, *, faults=None, deadlines=None):
+    """``engine.run(requests, faults=faults)`` (a ``ServingEngine`` or a
+    ``ClusterEngine``) with ``deadlines`` registered on the run."""
+    state = engine.start_run(requests, faults=faults)
+    state.ledger.deadlines.update(deadlines or {})
+    while state.active:
+        state.step()
+    return state.result()
 
 
 def run_scenario(seed: int) -> ChaosRun:
     """Execute one seeded scenario with full telemetry."""
     requests, plan, kwargs = chaos_scenario(seed)
     scheme = kwargs.pop("scheme")
+    deadlines = kwargs.pop("deadlines", None)
     recorder = TraceRecorder()
     engine = ServingEngine(LLAMA_7B, scheme, telemetry=recorder, **kwargs)
-    result = engine.run(requests, faults=plan)
+    result = run_with_deadlines(
+        engine, requests, faults=plan, deadlines=deadlines
+    )
     return ChaosRun(seed, requests, plan, engine, recorder, result)
 
 
@@ -223,12 +240,15 @@ def run_prefix_scenario(seed: int) -> PrefixChaosRun:
     """
     requests, plan, kwargs = chaos_scenario(seed)
     scheme = kwargs.pop("scheme")
+    deadlines = kwargs.pop("deadlines", None)
     recorder = TraceRecorder()
     cache = PrefixCache(seed=seed)
     engine = ServingEngine(
         LLAMA_7B, scheme, telemetry=recorder, prefix_cache=cache, **kwargs
     )
-    result = engine.run(requests, faults=plan)
+    result = run_with_deadlines(
+        engine, requests, faults=plan, deadlines=deadlines
+    )
     return PrefixChaosRun(
         seed, requests, plan, engine, recorder, result, cache
     )

@@ -43,6 +43,7 @@ from chaos import (  # tests/serving/chaos.py (pytest adds this dir to sys.path)
     run_open_loop_scenario,
     run_prefix_scenario,
     run_scenario,
+    run_with_deadlines,
 )
 
 #: Pinned seed list run in CI (>= 25 distinct scenarios required).
@@ -194,14 +195,14 @@ class TestDegradationPolicy:
         assert engine._allocator.used_pages == 0
 
     def test_per_request_deadline_dict(self):
+        """Deadlines registered on the run bind only their requests."""
         reqs = [Request(0, 64, 32), Request(1, 64, 512)]
-        engine = ServingEngine(
-            LLAMA_7B, FP16, max_batch=4,
-            deadline_s={1: 1e-6}, shed_policy="drop",
-        )
-        r = engine.run(reqs)
+        engine = ServingEngine(LLAMA_7B, FP16, max_batch=4, shed_policy="drop")
+        r = run_with_deadlines(engine, reqs, deadlines={1: 1e-6})
         assert r.terminal_states[0] == "finished"
         assert r.terminal_states[1] == "timed_out"
+        # The run's deadlines do not outlive it.
+        assert engine.run(reqs).completed_requests == 2
 
     def test_oversized_request_is_shed_under_drop_policy(self):
         giant = [Request(0, prefill_len=2047, decode_len=2048),
@@ -560,6 +561,7 @@ class TestClusterGoldenIdentity:
         from repro.serving import ClusterEngine, PrefixCache
 
         def serve(wrap):
+            deadlines = None
             if seed in (None, "prefix"):
                 cache = PrefixCache(seed=0) if seed else None
                 engine, requests, plan = (
@@ -567,8 +569,11 @@ class TestClusterGoldenIdentity:
                 )
             else:
                 requests, plan, kwargs = chaos_scenario(seed)
+                deadlines = kwargs.pop("deadlines", None)
                 engine = ServingEngine(LLAMA_7B, kwargs.pop("scheme"), **kwargs)
-            return wrap(engine).run(requests, faults=plan)
+            return run_with_deadlines(
+                wrap(engine), requests, faults=plan, deadlines=deadlines
+            )
 
         bare = asdict(serve(lambda e: e))
         clustered = asdict(serve(lambda e: ClusterEngine([e])))

@@ -7,7 +7,7 @@ expectations about who got routed where and which state transitions fired.
 
 import pytest
 
-from repro.data.sharegpt import Request, ShareGPTWorkload
+from repro.data.sharegpt import TURN_STRIDE, Request, ShareGPTWorkload
 from repro.serving import (
     ATOM_W4A4,
     FP16,
@@ -25,7 +25,6 @@ from repro.serving import (
     TraceRecorder,
     make_router,
 )
-from repro.serving.cluster import TURN_STRIDE
 from repro.serving.telemetry import (
     ClusterSample,
     ReplicaStateChange,
@@ -289,13 +288,26 @@ class TestClusterProtocol:
         assert res.serving.cluster["n_replicas"] == 3
 
     def test_deadlines_propagate_to_every_replica(self):
+        """A deadline registered on a cluster run is visible to every
+        replica run: they all record into the cluster's one ledger."""
         cluster = ClusterEngine([_engine() for _ in range(2)])
-        cluster.deadline_s = {}
-        assert all(e.deadline_s is cluster.engines[0].deadline_s
-                   for e in cluster.engines)
-        # Per-request dict mutations must be visible on every replica.
-        cluster.deadline_s[7] = 0.5
-        assert all(e.deadline_s[7] == 0.5 for e in cluster.engines)
+        reqs = _requests(4)
+        state = cluster.start_run(reqs)
+        # Round-robin routes the first two requests to replicas 0 and 1.
+        doomed = {r.request_id for r in reqs[:2]}
+        state.ledger.deadlines.update(dict.fromkeys(doomed, 1e-9))
+        assert all(
+            rep.run.ledger.deadlines == state.ledger.deadlines
+            for rep in state.replicas
+        )
+        while state.active:
+            state.step()
+        r = state.result()
+        assert r.terminal_states == {
+            rid: "timed_out" if rid in doomed else "finished"
+            for rid in (q.request_id for q in reqs)
+        }
+        assert [rep["routed"] for rep in r.cluster["replicas"]] == [2, 2]
 
     def test_requires_at_least_one_engine(self):
         with pytest.raises(ValueError):

@@ -102,6 +102,16 @@ class TestInteractions:
             subs[1].arrival_s + 100.0
         )
 
+    def test_interaction_deadline_overrides_engine_default(self):
+        """A turn's own deadline replaces the engine's ``deadline_s`` for
+        that request; a request without one keeps the default."""
+        inters = [
+            Interaction(0, [Request(0, 64, 32)], deadline_s=100.0),
+            Interaction(1, [Request(1, 64, 32)]),
+        ]
+        res = OpenLoopFrontend(_engine(deadline_s=1e-9)).run(inters)
+        assert res.serving.terminal_states == {0: "finished", 1: "timed_out"}
+
     def test_interaction_validation(self):
         with pytest.raises(ValueError, match="at least one turn"):
             Interaction(0, [])
@@ -150,12 +160,6 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="max_queue"):
             OpenLoopFrontend(_engine(), max_queue=0)
 
-    def test_global_scalar_deadline_conflicts_with_interactions(self):
-        engine = _engine(deadline_s=50.0)
-        inter = Interaction(0, [Request(0, 64, 32)], deadline_s=10.0)
-        with pytest.raises(ValueError, match="global deadline"):
-            OpenLoopFrontend(engine).run([inter])
-
     def test_non_permutation_scheduler_rejected(self):
         class Dropper(BaseScheduler):
             name = "dropper"
@@ -165,6 +169,40 @@ class TestAdmissionControl:
 
         with pytest.raises(RuntimeError, match="permutation"):
             OpenLoopFrontend(_engine(), Dropper()).run(_requests(3))
+
+
+class TestRunIsolation:
+    """Nothing one run leaves behind changes the next run."""
+
+    def test_engine_reused_without_deadlines_finishes_every_request(self):
+        engine = _engine()
+        doomed = [
+            Interaction(i, [Request(i, 64, 32)], deadline_s=1e-4)
+            for i in range(8)
+        ]
+        assert OpenLoopFrontend(engine).run(doomed).serving.timed_out == 8
+        res = OpenLoopFrontend(engine).run(_requests(8))
+        assert res.serving.completed_requests == 8
+        assert engine.deadline_s is None
+
+    def test_named_scheduler_is_fresh_every_run(self):
+        """Fair share's service ledger does not carry over: a frontend run
+        twice matches a fresh frontend.  Unknown names still fail at
+        construction."""
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            OpenLoopFrontend(_engine(), "lifo")
+        inters = poisson_interactions(
+            ShareGPTWorkload(seed=3, max_len=1024).sample_requests(40),
+            rate=50.0,
+            seed=1,
+            tenants=("a", "b"),
+        )
+        frontend = OpenLoopFrontend(_engine(), "fair")
+        frontend.run(inters)
+        again = frontend.run(inters)
+        fresh = OpenLoopFrontend(_engine(), "fair").run(inters)
+        assert again.admitted_at == fresh.admitted_at
+        assert again.records == fresh.records
 
 
 class TestSLOAccounting:

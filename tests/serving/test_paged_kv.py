@@ -381,7 +381,7 @@ class TestPagedKVCache:
 
 class TestKVCacheFactoryHook:
     def test_paged_factory_matches_dense_logits(self):
-        """A model whose ``kv_cache_factory`` returns paged caches computes
+        """A model whose ``_new_kv_cache`` returns paged caches computes
         bit-identical logits to the default dense path — GQA model,
         incremental decode crossing page boundaries."""
         from repro.bench.perf import build_bench_model
@@ -399,7 +399,7 @@ class TestKVCacheFactoryHook:
         dense_model = build_bench_model(cfg, seed=3)
         store = PagedKVStore(cfg.n_kv_heads, cfg.head_dim, page_size=4)
         paged_model = build_bench_model(cfg, seed=3)
-        paged_model.kv_cache_factory = lambda b, kv, hd, t: PagedKVCache(store)
+        paged_model._new_kv_cache = lambda batch, capacity: PagedKVCache(store)
 
         rng = np.random.default_rng(5)
         prompt = rng.integers(0, cfg.vocab_size, size=(1, 9))
